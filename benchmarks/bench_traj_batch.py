@@ -12,9 +12,8 @@ twice per round:
   call integrating the whole grid as a single ``(batch, 2)`` state block.
 
 Rounds are interleaved so machine-load drift affects both sides equally and
-the per-side minimum is reported, following the methodology of
-``bench_fp_hot_path.py`` / ``bench_des_scaling.py``.  The record is printed
-and written to ``BENCH_traj_batch.json`` at the repository root.
+the per-side minimum is reported.  The record is printed and written to
+``BENCH_traj_batch.json`` at the repository root.
 
 The assertions guard *correctness only*: every batched trajectory must be
 bit-identical to its scalar counterpart, every Theorem-1 verdict must

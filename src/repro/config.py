@@ -20,6 +20,7 @@ errors surface where the mistake was made rather than deep inside a solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Type
 
@@ -40,6 +41,17 @@ def _require(condition: bool, message: str) -> None:
     """Raise :class:`ConfigurationError` with *message* unless *condition*."""
     if not condition:
         raise ConfigurationError(message)
+
+
+def _require_finite(params) -> None:
+    """Reject an infinite or NaN value in any float field of *params*.
+
+    The sign checks alone let ``inf`` through (``inf > 0``), and an infinite
+    rate, target or width only fails later, as NaN deep inside a solver.
+    """
+    for name, value in vars(params).items():
+        if isinstance(value, float):
+            _require(math.isfinite(value), f"{name} must be finite, got {value}")
 
 
 #: Registry mapping the ``__parameters__`` type tag written by
@@ -159,6 +171,7 @@ class SystemParameters(ParameterDictMixin):
     stepper: str = ""
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         _require(self.mu > 0.0, f"service rate mu must be positive, got {self.mu}")
         _require(self.q_target >= 0.0,
                  f"target queue length must be non-negative, got {self.q_target}")
@@ -226,6 +239,7 @@ class GridParameters(ParameterDictMixin):
     nv: int = 90
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         _require(self.q_max > 0.0, "q_max must be positive")
         _require(self.nq >= 4, "nq must be at least 4")
         _require(self.nv >= 4, "nv must be at least 4")
@@ -253,6 +267,7 @@ class TimeParameters(ParameterDictMixin):
     snapshot_every: int = 10
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         _require(self.t_end > 0.0, "t_end must be positive")
         _require(self.dt > 0.0, "dt must be positive")
         _require(0.0 < self.cfl <= 1.0, "cfl must lie in (0, 1]")
@@ -280,6 +295,7 @@ class SourceParameters(ParameterDictMixin):
     name: str = ""
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         _require(self.c0 > 0.0, "c0 must be positive")
         _require(self.c1 > 0.0, "c1 must be positive")
         _require(self.delay >= 0.0, "delay must be non-negative")
@@ -294,6 +310,7 @@ class DelayParameters(ParameterDictMixin):
     history_dt: float = 0.01
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         _require(self.delay >= 0.0, "delay must be non-negative")
         _require(self.history_dt > 0.0, "history_dt must be positive")
 

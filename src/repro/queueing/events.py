@@ -23,9 +23,9 @@ Two engines share that contract:
 * :class:`ReferenceEventQueue` -- the seed engine (commit ``c0f79ee``)
   preserved verbatim: one :class:`Event` dataclass-style object per
   scheduled action, heap-ordered by the events themselves.  It exists so
-  determinism can be tested differentially (identical seeds must produce
-  bit-identical traces on either engine) and so the scaling benchmark can
-  measure the production engine against the seed event loop.
+  determinism can be tested differentially: identical seeds must produce
+  bit-identical traces on either engine, and both must reproduce the
+  frozen traces of the seed simulator stack.
 
 Cancellable handles returned by :meth:`EventQueue.schedule` are not pooled:
 a free-list of handles would let a stale reference held after firing cancel

@@ -109,7 +109,7 @@ class Simulator:
         Event-engine selector (see :data:`EVENT_ENGINES`): ``"fast"``
         (default) or ``"reference"``.  Both engines yield bit-identical
         traces for the same config and seed; the reference engine exists
-        for differential tests and the scaling benchmark.
+        for differential tests.
     retention:
         Trace retention policy: ``"full"`` keeps every recorded sample
         (bit-identical to the pre-dataplane behaviour), ``"moments"``

@@ -150,6 +150,30 @@ class TestDelayParameters:
             DelayParameters(history_dt=0.0)
 
 
+PARAMETER_CLASSES = [SystemParameters, GridParameters, TimeParameters,
+                     SourceParameters, DelayParameters]
+
+#: Every float field of every parameter dataclass, as (class, field name).
+FLOAT_FIELDS = [(cls, spec.name) for cls in PARAMETER_CLASSES
+                for spec in dataclasses.fields(cls) if spec.type == "float"]
+
+
+class TestNonFiniteRejected:
+    def test_system_parameters_fields_are_covered(self):
+        covered = {name for cls, name in FLOAT_FIELDS
+                   if cls is SystemParameters}
+        assert covered == {"mu", "q_target", "c0", "c1", "sigma"}
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                       float("nan")])
+    @pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
+                             ids=[f"{cls.__name__}.{name}"
+                                  for cls, name in FLOAT_FIELDS])
+    def test_non_finite_field_rejected(self, cls, name, value):
+        with pytest.raises(ConfigurationError):
+            cls(**{name: value})
+
+
 class TestDictRoundTrip:
     EXAMPLES = [
         SystemParameters(mu=2.0, q_target=5.0, c0=0.1, c1=0.3, sigma=0.4),

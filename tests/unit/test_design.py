@@ -288,6 +288,19 @@ class TestTuner:
         assert scores == sorted(scores)
         assert result.best is result.ranked[0]
 
+    def test_coarse_only_sweep_ranks_finite_scores(self):
+        # A 4^4 grid around PARAMS with refinement off: the batched RK4
+        # stage alone covers all 256 points and ranks finite scores.
+        axes = np.linspace(0.5, 2.0, 4)
+        result = design_gains(PARAMS, c0_values=PARAMS.c0 * axes,
+                              c1_values=PARAMS.c1 * axes,
+                              q_target_values=PARAMS.q_target * axes,
+                              mu_values=PARAMS.mu * axes,
+                              t_end=150.0, dt=0.1, refine=False)
+        assert result.n_points == 256
+        assert result.n_refined == 0
+        assert all(np.isfinite(gain.score) for gain in result.ranked)
+
     def test_sigma_zero_skips_refinement(self):
         params = SystemParameters(mu=1.0, q_target=8.0, c0=0.1, c1=0.4,
                                   sigma=0.0)

@@ -4,8 +4,13 @@ The production tuple-heap engine (``EventQueue``) and the preserved seed
 engine (``ReferenceEventQueue``) must be observationally identical: same
 firing order (including tie-breaking by insertion order across both
 scheduling paths), same clock behaviour, and bit-identical simulation
-traces for every configuration and seed.
+traces for every configuration and seed.  Both must also reproduce the
+frozen traces of the seed simulator stack (``golden_des_seed_traces.npz``).
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +24,61 @@ from repro.queueing import (
     Simulator,
     build_scenario,
 )
+from repro.queueing.scenarios import dumbbell_scenario
 from repro.workloads import (
     packet_level_jrj_scenario,
     packet_level_window_scenario,
 )
+
+
+#: Queue and per-source rate series, deliveries, losses and event counts of
+#: the seed simulator stack (commit ``c0f79ee``: dataclass events, per-event
+#: labels, vectorised drift, scalar RNG calls) run for ``SEED_DURATION`` on
+#: the configurations of ``SEED_CONFIGS``, frozen before that stack was
+#: removed.  Keys are ``<label>.<field>``; rate series are ``rate<id>``.
+SEED_GOLDEN_PATH = (Path(__file__).resolve().parents[1] / "data"
+                    / "golden_des_seed_traces.npz")
+SEED_DURATION = 60.0
+SEED_CONFIGS = {
+    "jrj-1": lambda: packet_level_jrj_scenario(
+        n_sources=1, service_rate=10.0, seed=3
+    ),
+    "jrj-2": lambda: packet_level_jrj_scenario(
+        n_sources=2, service_rate=10.0, seed=7
+    ),
+    "jacobson-2": lambda: packet_level_window_scenario(
+        n_sources=2, service_rate=10.0, buffer_size=20, scheme="jacobson"
+    ),
+    "decbit-2": lambda: packet_level_window_scenario(
+        n_sources=2, service_rate=10.0, buffer_size=40, scheme="decbit"
+    ),
+}
+#: SHA-256 (see ``_trace_digest``) of the seed stack's run of the 64-source
+#: dumbbell (seed 11) for ``SEED_DUMBBELL_DURATION``; a digest rather than
+#: arrays keeps the fixture small for a run of ~15,000 events.
+SEED_DUMBBELL_DURATION = 15.0
+SEED_DUMBBELL_DIGEST = (
+    "5b2ef2838caae0c53e7e1cc116f10d41766fdc5dc14b4149f339cd62572aee0e"
+)
+
+
+def _trace_digest(trace, events_executed):
+    """SHA-256 over every recorded float and count of a simulation run."""
+    digest = hashlib.sha256()
+    series = [trace.queue_length] + [
+        trace.source_rates[key] for key in sorted(trace.source_rates)
+    ]
+    for sink in series:
+        for column in (sink.times, sink.values):
+            column = np.ascontiguousarray(column, dtype="<f8")
+            digest.update(np.int64(column.size).tobytes())
+            digest.update(column.tobytes())
+    counts = [
+        sorted([int(key), int(value)] for key, value in table.items())
+        for table in (trace.deliveries, trace.losses)
+    ]
+    digest.update(json.dumps([counts, int(events_executed)]).encode())
+    return digest.hexdigest()
 
 
 def _trace_fingerprint(trace):
@@ -132,20 +188,7 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize(
         "config_builder",
         [
-            lambda: packet_level_jrj_scenario(
-                n_sources=1, service_rate=10.0, seed=3
-            ),
-            lambda: packet_level_jrj_scenario(
-                n_sources=2, service_rate=10.0, seed=7
-            ),
-            lambda: packet_level_window_scenario(
-                n_sources=2, service_rate=10.0, buffer_size=20,
-                scheme="jacobson",
-            ),
-            lambda: packet_level_window_scenario(
-                n_sources=2, service_rate=10.0, buffer_size=40,
-                scheme="decbit",
-            ),
+            *SEED_CONFIGS.values(),
             lambda: build_scenario("dumbbell", n_sources=12, seed=5),
         ],
         ids=["jrj-1", "jrj-2", "jacobson", "decbit", "dumbbell-12"],
@@ -181,6 +224,55 @@ class TestEngineEquivalence:
             Simulator(config, engine="warp-drive")
         with pytest.raises(ConfigurationError):
             MultiHopSimulator(build_scenario("chain"), engine="warp-drive")
+
+
+class TestSeedGoldenTraces:
+    """Rate-based (JRJ) and window-based (Jacobson, DECbit) sources on
+    either engine reproduce the seed stack's traces bit for bit."""
+
+    @pytest.mark.parametrize("engine", sorted(EVENT_ENGINES))
+    @pytest.mark.parametrize("label", list(SEED_CONFIGS))
+    def test_traces_match_seed_stack(self, label, engine):
+        golden = np.load(SEED_GOLDEN_PATH)
+        result = Simulator(SEED_CONFIGS[label](), engine=engine).run(
+            SEED_DURATION
+        )
+        trace = result.trace
+
+        def expect(field):
+            return golden[f"{label}.{field}"]
+
+        assert np.array_equal(trace.queue_length.times, expect("queue_times"))
+        assert np.array_equal(
+            trace.queue_length.values, expect("queue_values")
+        )
+        rate_keys = [
+            key for key in golden.files
+            if key.startswith(f"{label}.rate") and key.endswith("_times")
+        ]
+        assert len(rate_keys) == len(trace.source_rates)
+        for source_id, series in trace.source_rates.items():
+            assert np.array_equal(series.times, expect(f"rate{source_id}_times"))
+            assert np.array_equal(
+                series.values, expect(f"rate{source_id}_values")
+            )
+        assert sorted(trace.deliveries.items()) == [
+            tuple(row) for row in expect("deliveries").tolist()
+        ]
+        assert sorted(trace.losses.items()) == [
+            tuple(row) for row in expect("losses").tolist()
+        ]
+        assert result.events_executed == int(expect("events_executed"))
+
+    @pytest.mark.parametrize("engine", sorted(EVENT_ENGINES))
+    def test_dumbbell_64_matches_seed_stack(self, engine):
+        # Many jittered rate sources: the buffered jitter draws and the
+        # periodic control timers against the seed's per-packet RNG calls.
+        config = dumbbell_scenario(n_sources=64, seed=11)
+        result = Simulator(config, engine=engine).run(SEED_DUMBBELL_DURATION)
+        assert _trace_digest(result.trace, result.events_executed) == (
+            SEED_DUMBBELL_DIGEST
+        )
 
 
 class TestBufferedJitterParity:

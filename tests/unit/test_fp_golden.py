@@ -2,7 +2,9 @@
 
 The pinned numbers below were produced by the seed implementation (commit
 ``c0f79ee``, pure per-call Thomas solve and allocating kernels) on the
-canonical small test configs.  The optimized hot path must reproduce them:
+canonical small test configs, plus one at the density-evolution scale
+(``hot_path``: 200 x 101, the grid the hot-path optimisations were tuned
+on).  The optimized hot path must reproduce them:
 bit-for-bit where the operation order is unchanged (the σ = 0 purely
 hyperbolic path) and to ≤ 1e-12 where cached/reordered kernels are used
 (the dense combined Crank-Nicolson operator, pre-scaled advection).
@@ -37,6 +39,9 @@ SEED_GOLDEN = {
     "highsigma": (0.9999999999998861, 4.796532807903856, 12.58468646800706,
                   0.041429428582635715, 0.048955174714521286,
                   -0.2733250825247134),
+    "hot_path": (1.0000000000000253, 3.771215700880212, 4.335711364953971,
+                 0.49776951038434586, 0.029044229810130783,
+                 0.1960349472501256),
 }
 
 GRID = GridParameters(q_max=30.0, nq=60, v_min=-1.2, v_max=1.2, nv=48)
@@ -94,6 +99,22 @@ class TestSeedGoldenValues:
             2.0, 0.6, TimeParameters(t_end=10.0, dt=0.5, snapshot_every=4))
         _assert_close(_moment_tuple(result.final_moments),
                       SEED_GOLDEN["highsigma"], tol=1e-12)
+
+    def test_hot_path_scale(self, backend_name):
+        # The seed's q_max=40 grid at 200 x 101 from (0, 0.5): the dense
+        # combined Crank-Nicolson operator and the pre-scaled advection
+        # kernels at the size they were optimised for.
+        params = SystemParameters(mu=1.0, sigma=0.5, backend=backend_name,
+                                  **CONTROL_KW)
+        grid = GridParameters(q_max=40.0, nq=200, v_min=-1.5, v_max=1.5,
+                              nv=101)
+        result = FokkerPlanckSolver(params, JRJControl(**CONTROL_KW),
+                                    grid_params=grid).solve_from_point(
+            0.0, 0.5, TimeParameters(t_end=20.0, dt=0.5, snapshot_every=10))
+        # t = 0 plus every tenth of the 40 output steps, as the seed kept.
+        assert len(result.snapshots) == 5
+        _assert_close(_moment_tuple(result.final_moments),
+                      SEED_GOLDEN["hot_path"], tol=1e-12)
 
     def test_repeated_solves_are_deterministic(self, jrj_control,
                                                backend_name):

@@ -11,6 +11,7 @@ from repro import (
     TimeParameters,
 )
 from repro.core.boundary import BoundaryConditions
+from repro.core.diffusion import DENSE_NQ_LIMIT
 from repro.core.stepper import (
     ADIStepper,
     AxisSplitStepper,
@@ -105,6 +106,8 @@ class TestADIStepper:
             reference.estimate.mean_growth_rate, abs=1e-6)
         assert np.sqrt(moments.var_q) == pytest.approx(
             reference.estimate.std_queue, abs=1e-6)
+        assert np.sqrt(moments.var_v) == pytest.approx(
+            reference.estimate.std_growth_rate, abs=1e-6)
 
     def test_mass_conserved_and_nonnegative(self, jrj_control):
         params = SystemParameters(mu=1.0, sigma=0.4, stepper="adi",
@@ -123,6 +126,34 @@ class TestADIStepper:
                        jrj_control)
         assert np.allclose(other.final_density, reference.final_density,
                            rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("nq, nv, sigma, t_end", [
+        (120, 61, 0.5, 3.0), (120, 61, 2.0, 3.0),
+        (200, 101, 0.5, 3.0), (200, 101, 2.0, 3.0),
+        # Above the dense-CN limit the axis path subcycles factorized
+        # solves under the stiff diffusion number; ADI takes one banded
+        # solve per direction.
+        (DENSE_NQ_LIMIT + 8, 41, 2.0, 0.5),
+    ])
+    def test_axis_and_adi_transients_agree(self, jrj_control, backend_name,
+                                           nq, nv, sigma, t_end):
+        # Two discretisations of the same PDE over the same horizon: each
+        # conserves mass and their mean queues track.
+        grid = GridParameters(q_max=40.0, nq=nq, v_min=-1.5, v_max=1.5,
+                              nv=nv)
+        time = TimeParameters(t_end=t_end, dt=t_end / 4.0, snapshot_every=4)
+        means = []
+        for stepper in ("axis", "adi"):
+            params = SystemParameters(mu=1.0, sigma=sigma, stepper=stepper,
+                                      backend=backend_name, **CONTROL_KW)
+            moments = _march(params, jrj_control, time=time,
+                             grid=grid).final_moments
+            assert np.isfinite(moments.mean_q)
+            assert abs(moments.mass - 1.0) <= 1e-8
+            means.append(moments.mean_q)
+        axis, adi = means
+        assert abs(axis - adi) <= 0.1 * abs(axis)
 
     def test_free_running_step_doubles_axis_cfl(self, jrj_control):
         params = SystemParameters(mu=1.0, sigma=0.4, **CONTROL_KW)
