@@ -21,11 +21,9 @@ from .advection import (
     UpwindAdvection,
     cfl_time_step,
     cfl_time_step_from_speeds,
-    upwind_advect_q,
-    upwind_advect_v,
 )
 from .boundary import BoundaryConditions
-from .diffusion import CrankNicolsonDiffusion, crank_nicolson_diffuse_q
+from .diffusion import CrankNicolsonDiffusion
 from .initial import (
     delta_initial_density,
     gaussian_initial_density,
@@ -39,13 +37,10 @@ from .steady_state import SteadyStateEstimate, estimate_steady_state, relaxation
 
 __all__ = [
     "UpwindAdvection",
-    "upwind_advect_q",
-    "upwind_advect_v",
     "cfl_time_step",
     "cfl_time_step_from_speeds",
     "BoundaryConditions",
     "CrankNicolsonDiffusion",
-    "crank_nicolson_diffuse_q",
     "delta_initial_density",
     "gaussian_initial_density",
     "uniform_initial_density",

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..config import GridParameters, SystemParameters, TimeParameters
 from ..control.base import RateControl
-from ..exceptions import StabilityError
+from ..exceptions import ConfigurationError, StabilityError
 from ..health import HealthMonitor, consume_numerical_fault
 from ..health.report import HealthLog
 from ..numerics.backend import get_backend
@@ -150,6 +150,15 @@ class FokkerPlanckSolver:
         self.control = control
         self.grid_params = grid_params if grid_params is not None else GridParameters()
         self.boundary = boundary if boundary is not None else BoundaryConditions()
+        if (self.grid_params.q_max <= params.q_target
+                and not self.boundary.absorb_q_max):
+            # With the operating point at or past q_max the density piles
+            # against that edge and drains out through the q-advection
+            # outflow, which absorbed_mass does not count.
+            raise ConfigurationError(
+                f"grid q_max={self.grid_params.q_max:g} does not exceed "
+                f"q_target={params.q_target:g}; widen the grid or set "
+                f"BoundaryConditions(absorb_q_max=True) for a finite buffer")
         self.delayed_queue_provider = delayed_queue_provider
         self.grid = PhaseGrid2D.from_bounds(
             q_max=self.grid_params.q_max, nq=self.grid_params.nq,

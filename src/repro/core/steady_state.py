@@ -16,7 +16,6 @@ import numpy as np
 
 from ..config import ParameterDictMixin
 from ..exceptions import AnalysisError
-from .moments import DensityMoments
 from .solver import FokkerPlanckResult
 
 __all__ = ["SteadyStateEstimate", "estimate_steady_state", "relaxation_time"]
@@ -86,10 +85,3 @@ def relaxation_time(result: FokkerPlanckResult, tolerance: float = 0.1
         if np.all(inside[index:]):
             return float(times[index])
     raise AnalysisError("mean queue never settled within the tolerance band")
-
-
-def moments_close_to(moments: DensityMoments, mean_q: float, mean_v: float,
-                     q_tolerance: float, v_tolerance: float) -> bool:
-    """Convenience predicate used by tests: are the means near a target point?"""
-    return (abs(moments.mean_q - mean_q) <= q_tolerance
-            and abs(moments.mean_v - mean_v) <= v_tolerance)

@@ -33,7 +33,7 @@ from .queue_node import BottleneckQueue
 from .feedback import FeedbackChannel
 from .source import RateSource, WindowSource
 from .network import NetworkConfig, SourceConfig
-from .simulator import EVENT_ENGINES, Simulator, SimulationResult
+from .simulator import Simulator, SimulationResult
 from .topology import MultiHopConfig, NodeConfig, Route
 from .multihop import MultiHopResult, MultiHopSimulator, parking_lot_scenario
 from .scenarios import (
@@ -58,7 +58,6 @@ __all__ = [
     "EventQueue",
     "PeriodicTimer",
     "ReferenceEventQueue",
-    "EVENT_ENGINES",
     "Packet",
     "BufferedJitter",
     "RandomStreams",

@@ -7,25 +7,24 @@ time, and the engine executes pending actions in ``(time, sequence)`` order.
 Ties are broken by insertion order so the simulation is fully deterministic
 for a given random seed.
 
-Two engines share that contract:
+The simulators run one engine, :class:`EventQueue`.  Its heap holds bare
+``(time, sequence, payload)`` tuples so heap comparisons run at C speed
+(the seed compared dataclass instances through a generated ``__lt__``),
+and the payload is either a cancellable :class:`Event` handle or, on the
+:meth:`EventQueue.schedule_call` hot path, the raw callback itself --
+scheduling a fire-and-forget action allocates nothing but the tuple.
+Recurring actions (source control loops) use :class:`PeriodicTimer`,
+a preallocated repeating event that re-arms itself instead of building a
+fresh event object and label per tick.  Cancellation is lazy: cancelled
+events stay in the heap and are skipped when popped.
 
-* :class:`EventQueue` -- the production engine.  The heap holds bare
-  ``(time, sequence, payload)`` tuples so heap comparisons run at C speed
-  (the seed compared dataclass instances through a generated ``__lt__``),
-  and the payload is either a cancellable :class:`Event` handle or, on the
-  :meth:`EventQueue.schedule_call` hot path, the raw callback itself --
-  scheduling a fire-and-forget action allocates nothing but the tuple.
-  Recurring actions (source control loops) use :class:`PeriodicTimer`,
-  a preallocated repeating event that re-arms itself instead of building a
-  fresh event object and label per tick.  Cancellation is lazy: cancelled
-  events stay in the heap and are skipped when popped.
-
-* :class:`ReferenceEventQueue` -- the seed engine (commit ``c0f79ee``)
-  preserved verbatim: one :class:`Event` dataclass-style object per
-  scheduled action, heap-ordered by the events themselves.  It exists so
-  determinism can be tested differentially: identical seeds must produce
-  bit-identical traces on either engine, and both must reproduce the
-  frozen traces of the seed simulator stack.
+A test oracle shares the same contract: :class:`ReferenceEventQueue` is
+the seed engine (commit ``c0f79ee``) preserved verbatim -- one
+:class:`Event` dataclass-style object per scheduled action, heap-ordered by
+the events themselves.  No simulator selects it; the parity tests swap it in
+for :class:`EventQueue` to check that identical seeds produce bit-identical
+traces on either engine and that both reproduce the frozen traces of the
+seed simulator stack.
 
 Cancellable handles returned by :meth:`EventQueue.schedule` are not pooled:
 a free-list of handles would let a stale reference held after firing cancel
@@ -40,8 +39,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from ..exceptions import ConfigurationError, SimulationError
 
-__all__ = ["EVENT_ENGINES", "Event", "EventQueue", "PeriodicTimer",
-           "ReferenceEventQueue", "resolve_engine"]
+__all__ = ["Event", "EventQueue", "PeriodicTimer", "ReferenceEventQueue"]
 
 
 class Event:
@@ -365,20 +363,3 @@ class ReferenceEventQueue:
             executed += 1
         self.current_time = max(self.current_time, t_end)
         return executed
-
-
-#: Selectable event engines: ``"fast"`` is the production tuple-heap
-#: engine, ``"reference"`` the seed implementation kept for differential
-#: testing and benchmarking.  Both produce bit-identical traces for a
-#: given configuration and seed.
-EVENT_ENGINES = {"fast": EventQueue, "reference": ReferenceEventQueue}
-
-
-def resolve_engine(engine: str):
-    """Return the engine class registered under *engine* (or raise)."""
-    try:
-        return EVENT_ENGINES[engine]
-    except KeyError:
-        known = ", ".join(sorted(EVENT_ENGINES))
-        raise ConfigurationError(
-            f"unknown event engine {engine!r} (available: {known})") from None

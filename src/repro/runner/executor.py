@@ -566,12 +566,18 @@ def run_jobs(jobs: Sequence[JobSpec], n_jobs: int = 1,
         raise ConfigurationError("n_jobs must be at least 1")
     if timeout is not None and timeout <= 0:
         raise ConfigurationError("timeout must be positive")
+    if journal is not None and not isinstance(journal, RunJournal):
+        # A journal opened here from a path is closed here; a caller-owned
+        # RunJournal stays open.
+        with RunJournal(journal) as owned:
+            return run_jobs(jobs, n_jobs=n_jobs, cache=cache,
+                            progress=progress, retries=retries,
+                            retry_policy=retry_policy, timeout=timeout,
+                            journal=owned, faults=faults, reduce=reduce)
     policy = retry_policy if retry_policy is not None \
         else RetryPolicy(retries=retries)
     if faults is None:
         faults = FaultPlan.from_environment()
-    if journal is not None and not isinstance(journal, RunJournal):
-        journal = RunJournal(journal)
 
     reducer = (SubmissionOrderReducer(coerce_reduce_spec(reduce))
                if reduce is not None else None)

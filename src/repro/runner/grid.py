@@ -1,13 +1,12 @@
 """Multi-dimensional parameter-grid construction.
 
-Generalises the single-scalar sweep of :func:`repro.workloads.run_sweep`
-to full cartesian matrices: a mapping of named axes expands into the list
-of grid points, and :func:`build_matrix` turns those points into
-:class:`~repro.runner.JobSpec` objects.  Axis values whose names match
-fields of the base parameter object are folded into the parameter
-dataclass (via :func:`dataclasses.replace`); the remaining names become
-keyword arguments of the experiment callable.  Per-job seeds are derived
-from a master seed with the spawn-key scheme of
+A mapping of named axes expands into the full cartesian list of grid points
+(the expansion :func:`repro.workloads.run_grid` also uses), and
+:func:`build_matrix` turns those points into :class:`~repro.runner.JobSpec`
+objects.  Axis values whose names match fields of the base parameter object
+are folded into the parameter dataclass (via :func:`dataclasses.replace`);
+the remaining names become keyword arguments of the experiment callable.
+Per-job seeds are derived from a master seed with the spawn-key scheme of
 :mod:`repro.queueing.random_streams`, so job ``i`` of a matrix always sees
 the same seed no matter how (or where) the matrix is executed.
 """

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro import GridParameters, JRJControl, SystemParameters, TimeParameters
 from repro.numerics.grids import PhaseGrid2D, UniformGrid1D
+from repro.queueing.events import ReferenceEventQueue
 
 
 @pytest.fixture
@@ -50,3 +53,20 @@ def phase_grid() -> PhaseGrid2D:
 def rng() -> np.random.Generator:
     """Deterministic random generator for reproducible stochastic tests."""
     return np.random.default_rng(20260614)
+
+
+@pytest.fixture
+def reference_engine(monkeypatch):
+    """Run the packet simulators on the seed event engine for this test.
+
+    :class:`~repro.queueing.Simulator` and
+    :class:`~repro.queueing.MultiHopSimulator` build their event queue from
+    the module-level ``EventQueue`` name; swapping in
+    :class:`~repro.queueing.ReferenceEventQueue` there lets parity tests
+    compare the production engine against the preserved seed engine.
+    Request it with ``request.getfixturevalue`` to switch engines part-way
+    through a test.
+    """
+    for name in ("repro.queueing.simulator", "repro.queueing.multihop"):
+        monkeypatch.setattr(importlib.import_module(name), "EventQueue",
+                            ReferenceEventQueue)

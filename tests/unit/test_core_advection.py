@@ -7,8 +7,6 @@ from repro.core.advection import (
     UpwindAdvection,
     cfl_time_step,
     cfl_time_step_from_speeds,
-    upwind_advect_q,
-    upwind_advect_v,
 )
 from repro.exceptions import StabilityError
 from repro.numerics.grids import PhaseGrid2D, UniformGrid1D
@@ -17,6 +15,11 @@ from repro.numerics.grids import PhaseGrid2D, UniformGrid1D
 @pytest.fixture
 def grid():
     return PhaseGrid2D(UniformGrid1D(0.0, 10.0, 50), UniformGrid1D(-1.0, 1.0, 20))
+
+
+@pytest.fixture
+def advection(grid):
+    return UpwindAdvection(grid)
 
 
 def _blob(grid, q_center, v_center):
@@ -42,119 +45,103 @@ class TestCFLTimeStep:
 
 
 class TestUpwindAdvectQ:
-    def test_conserves_mass_with_reflecting_boundary(self, grid):
+    def test_conserves_mass_with_reflecting_boundary(self, grid, advection):
         density = _blob(grid, 5.0, 0.0)
         mass_before = grid.total_mass(density)
         dt = cfl_time_step(grid, np.zeros(grid.shape), 0.9, 0.05)
-        updated = upwind_advect_q(density, grid, dt)
+        updated = advection.advect_q(density, dt)
         # Mass only leaves through q = q_max; a centred blob loses only the
         # (negligible) Gaussian tail already sitting at that edge.
         assert grid.total_mass(updated) == pytest.approx(mass_before, rel=1e-9)
 
-    def test_positive_velocity_moves_mass_right(self, grid):
+    def test_positive_velocity_moves_mass_right(self, grid, advection):
         density = _blob(grid, 3.0, 0.5)
         dt = 0.05
         updated = density.copy()
         for _ in range(40):
-            updated = upwind_advect_q(updated, grid, dt)
+            updated = advection.advect_q(updated, dt)
         q_mesh, _ = grid.meshgrid()
         mean_before = np.sum(q_mesh * density) / np.sum(density)
         mean_after = np.sum(q_mesh * updated) / np.sum(updated)
         assert mean_after > mean_before + 0.3
 
-    def test_negative_velocity_moves_mass_left(self, grid):
+    def test_negative_velocity_moves_mass_left(self, grid, advection):
         density = _blob(grid, 7.0, -0.5)
         updated = density.copy()
         for _ in range(40):
-            updated = upwind_advect_q(updated, grid, 0.05)
+            updated = advection.advect_q(updated, 0.05)
         q_mesh, _ = grid.meshgrid()
         mean_before = np.sum(q_mesh * density) / np.sum(density)
         mean_after = np.sum(q_mesh * updated) / np.sum(updated)
         assert mean_after < mean_before - 0.3
 
-    def test_reflecting_boundary_keeps_mass_non_negative_queue(self, grid):
+    def test_reflecting_boundary_keeps_mass_non_negative_queue(self, grid,
+                                                               advection):
         # Mass pushed against q = 0 must not leak out.
         density = _blob(grid, 0.5, -0.8)
         updated = density.copy()
         for _ in range(100):
-            updated = upwind_advect_q(updated, grid, 0.05)
+            updated = advection.advect_q(updated, 0.05)
         assert grid.total_mass(updated) == pytest.approx(1.0, rel=1e-10)
         assert np.all(updated >= 0.0)
 
-    def test_cfl_violation_raises(self, grid):
+    def test_cfl_violation_raises(self, grid, advection):
         density = _blob(grid, 5.0, 0.0)
         with pytest.raises(StabilityError):
-            upwind_advect_q(density, grid, dt=10.0)
+            advection.advect_q(density, 10.0)
 
-    def test_result_non_negative(self, grid):
+    def test_result_non_negative(self, grid, advection):
         density = _blob(grid, 5.0, 0.3)
-        updated = upwind_advect_q(density, grid, 0.05)
+        updated = advection.advect_q(density, 0.05)
         assert np.all(updated >= 0.0)
 
 
 class TestUpwindAdvectV:
-    def test_conserves_mass(self, grid):
+    def test_conserves_mass(self, grid, advection):
         density = _blob(grid, 5.0, 0.0)
-        drift = np.full(grid.shape, 0.3)
+        advection.set_drift(np.full(grid.shape, 0.3))
         dt = 0.05
-        updated = upwind_advect_v(density, grid, drift, dt)
+        updated = advection.advect_v(density, dt)
         assert grid.total_mass(updated) == pytest.approx(1.0, rel=1e-12)
 
-    def test_positive_drift_moves_mass_up(self, grid):
+    def test_positive_drift_moves_mass_up(self, grid, advection):
         density = _blob(grid, 5.0, -0.3)
-        drift = np.full(grid.shape, 0.5)
+        advection.set_drift(np.full(grid.shape, 0.5))
         updated = density.copy()
         for _ in range(30):
-            updated = upwind_advect_v(updated, grid, drift, 0.05)
+            updated = advection.advect_v(updated, 0.05)
         _, v_mesh = grid.meshgrid()
         mean_before = np.sum(v_mesh * density) / np.sum(density)
         mean_after = np.sum(v_mesh * updated) / np.sum(updated)
         assert mean_after > mean_before + 0.2
 
-    def test_negative_drift_moves_mass_down(self, grid):
+    def test_negative_drift_moves_mass_down(self, grid, advection):
         density = _blob(grid, 5.0, 0.3)
-        drift = np.full(grid.shape, -0.5)
+        advection.set_drift(np.full(grid.shape, -0.5))
         updated = density.copy()
         for _ in range(30):
-            updated = upwind_advect_v(updated, grid, drift, 0.05)
+            updated = advection.advect_v(updated, 0.05)
         _, v_mesh = grid.meshgrid()
         assert (np.sum(v_mesh * updated) / np.sum(updated)
                 < np.sum(v_mesh * density) / np.sum(density) - 0.2)
 
-    def test_shape_mismatch_raises(self, grid):
-        density = _blob(grid, 5.0, 0.0)
+    def test_shape_mismatch_raises(self, advection):
         with pytest.raises(StabilityError):
-            upwind_advect_v(density, grid, np.zeros((3, 3)), 0.05)
+            advection.set_drift(np.zeros((3, 3)))
 
-    def test_cfl_violation_raises(self, grid):
+    def test_cfl_violation_raises(self, grid, advection):
         density = _blob(grid, 5.0, 0.0)
-        drift = np.full(grid.shape, 100.0)
+        advection.set_drift(np.full(grid.shape, 100.0))
         with pytest.raises(StabilityError):
-            upwind_advect_v(density, grid, drift, 0.5)
+            advection.advect_v(density, 0.5)
 
 
 class TestUpwindAdvectionWorkspace:
-    """The preallocated workspace must match the stateless kernels."""
+    """The preallocated workspace's fast paths and cached state."""
 
     def _drift(self, grid):
         q_mesh, v_mesh = grid.meshgrid()
         return np.where(q_mesh <= 5.0, 0.05, -0.2 * (v_mesh + 1.0))
-
-    def test_advect_q_matches_function(self, grid):
-        workspace = UpwindAdvection(grid)
-        density = _blob(grid, 5.0, 0.2)
-        out = np.empty_like(density)
-        workspace.advect_q(density, 0.05, out=out)
-        assert np.array_equal(out, upwind_advect_q(density, grid, 0.05))
-
-    def test_advect_v_matches_function(self, grid):
-        workspace = UpwindAdvection(grid)
-        density = _blob(grid, 5.0, 0.0)
-        drift = self._drift(grid)
-        workspace.set_drift(drift)
-        out = np.empty_like(density)
-        workspace.advect_v(density, 0.05, out=out)
-        assert np.array_equal(out, upwind_advect_v(density, grid, drift, 0.05))
 
     def test_scaled_fast_path_agrees_to_rounding(self, grid):
         workspace = UpwindAdvection(grid)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.diffusion import CrankNicolsonDiffusion, crank_nicolson_diffuse_q
+from repro.core.diffusion import CrankNicolsonDiffusion
 from repro.numerics.grids import PhaseGrid2D, UniformGrid1D
 
 
@@ -15,14 +15,15 @@ def grid():
 class TestCrankNicolsonDiffusion:
     def test_zero_sigma_is_identity(self, grid):
         density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
-        updated = crank_nicolson_diffuse_q(density, grid, sigma=0.0, dt=0.1)
+        updated = CrankNicolsonDiffusion(grid, 0.0).step(density, 0.1)
         assert np.array_equal(updated, density)
 
     def test_conserves_mass(self, grid):
         density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
+        operator = CrankNicolsonDiffusion(grid, 0.5)
         updated = density.copy()
         for _ in range(50):
-            updated = crank_nicolson_diffuse_q(updated, grid, sigma=0.5, dt=0.1)
+            updated = operator.step(updated, 0.1)
         assert grid.total_mass(updated) == pytest.approx(1.0, rel=1e-10)
 
     def test_variance_grows_at_sigma_squared_rate(self, grid):
@@ -40,18 +41,20 @@ class TestCrankNicolsonDiffusion:
             return np.sum((q_mesh - mean) ** 2 * weight)
 
         initial_variance = variance(density)
+        operator = CrankNicolsonDiffusion(grid, sigma)
         updated = density.copy()
         for _ in range(n_steps):
-            updated = crank_nicolson_diffuse_q(updated, grid, sigma, dt)
+            updated = operator.step(updated, dt)
         expected = initial_variance + sigma ** 2 * n_steps * dt
         assert variance(updated) == pytest.approx(expected, rel=0.05)
 
     def test_mean_preserved_in_interior(self, grid):
         density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
         q_mesh, _ = grid.meshgrid()
+        operator = CrankNicolsonDiffusion(grid, 0.3)
         updated = density.copy()
         for _ in range(20):
-            updated = crank_nicolson_diffuse_q(updated, grid, 0.3, 0.1)
+            updated = operator.step(updated, 0.1)
         mean_before = np.sum(q_mesh * density) / np.sum(density)
         mean_after = np.sum(q_mesh * updated) / np.sum(updated)
         assert mean_after == pytest.approx(mean_before, abs=0.05)
@@ -60,14 +63,14 @@ class TestCrankNicolsonDiffusion:
         density = np.zeros(grid.shape)
         density[50, :] = 1.0
         density = grid.normalize(density)
-        updated = crank_nicolson_diffuse_q(density, grid, sigma=1.0, dt=0.5)
+        updated = CrankNicolsonDiffusion(grid, 1.0).step(density, 0.5)
         assert np.max(updated) < np.max(density)
         assert np.all(updated >= 0.0)
 
     def test_large_dt_remains_stable(self, grid):
         # Crank-Nicolson is unconditionally stable; a huge step must not blow up.
         density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
-        updated = crank_nicolson_diffuse_q(density, grid, sigma=1.0, dt=50.0)
+        updated = CrankNicolsonDiffusion(grid, 1.0).step(density, 50.0)
         assert np.all(np.isfinite(updated))
         assert grid.total_mass(updated) == pytest.approx(1.0, rel=1e-8)
 
@@ -82,13 +85,6 @@ class TestCrankNicolsonDiffusionOperator:
             density = operator.step(density, 0.1)
         assert grid.total_mass(density) == pytest.approx(1.0, rel=1e-10)
         assert len(operator._steps) == 1  # single cached diffusion number
-
-    def test_operator_matches_stateless_function(self, grid):
-        operator = CrankNicolsonDiffusion(grid, sigma=0.4)
-        density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)
-        via_operator = operator.step(density, 0.2)
-        via_function = crank_nicolson_diffuse_q(density, grid, 0.4, 0.2)
-        assert np.allclose(via_operator, via_function, rtol=0.0, atol=1e-13)
 
     def test_dense_and_factorized_paths_agree(self, grid):
         density = grid.gaussian_density(10.0, 0.0, 1.0, 0.3)

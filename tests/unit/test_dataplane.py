@@ -430,28 +430,6 @@ class TestEnsembleRetention:
                               streamed.final_queue_samples())
 
 
-class TestDeprecationShims:
-    def test_simulation_result_mean_queue_length(self):
-        config = packet_level_jrj_scenario(n_sources=1, service_rate=10.0,
-                                           seed=1)
-        result = Simulator(config).run(duration=10.0)
-        with pytest.warns(DeprecationWarning):
-            legacy = result.mean_queue_length
-        assert legacy == result.mean_queue
-
-    def test_ensemble_series_aliases(self):
-        params = SystemParameters(sigma=0.3)
-        ensemble = run_ensemble(jrj_from_parameters(params), params, q0=0.0,
-                                rate0=0.5, t_end=2.0, dt=0.02, n_paths=20,
-                                seed=8)
-        for legacy, current in (("mean_queue", "mean_queue_series"),
-                                ("std_queue", "std_queue_series"),
-                                ("mean_rate", "mean_rate_series")):
-            with pytest.warns(DeprecationWarning):
-                values = getattr(ensemble, legacy)
-            assert np.array_equal(values, getattr(ensemble, current))
-
-
 class TestMapReduce:
     def _jobs(self, values):
         return [JobSpec(identity_value, overrides={"x": float(v)})

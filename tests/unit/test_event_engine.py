@@ -1,7 +1,8 @@
-"""Determinism and semantics of the event engines.
+"""Determinism and semantics of the event engine and its test oracle.
 
 The production tuple-heap engine (``EventQueue``) and the preserved seed
-engine (``ReferenceEventQueue``) must be observationally identical: same
+engine (``ReferenceEventQueue``, swapped in through the ``reference_engine``
+fixture) must be observationally identical: same
 firing order (including tie-breaking by insertion order across both
 scheduling paths), same clock behaviour, and bit-identical simulation
 traces for every configuration and seed.  Both must also reproduce the
@@ -17,7 +18,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.queueing import (
-    EVENT_ENGINES,
     EventQueue,
     MultiHopSimulator,
     ReferenceEventQueue,
@@ -60,6 +60,17 @@ SEED_DUMBBELL_DURATION = 15.0
 SEED_DUMBBELL_DIGEST = (
     "5b2ef2838caae0c53e7e1cc116f10d41766fdc5dc14b4149f339cd62572aee0e"
 )
+
+
+#: The production engine and its test oracle, keyed by the ids the
+#: parametrized parity tests carry.
+ENGINES = {"fast": EventQueue, "reference": ReferenceEventQueue}
+
+
+def _use_engine(request, engine):
+    """Swap the seed engine into the simulators when *engine* asks for it."""
+    if engine == "reference":
+        request.getfixturevalue("reference_engine")
 
 
 def _trace_digest(trace, events_executed):
@@ -193,20 +204,24 @@ class TestEngineEquivalence:
         ],
         ids=["jrj-1", "jrj-2", "jacobson", "decbit", "dumbbell-12"],
     )
-    def test_simulation_traces_bit_identical(self, config_builder):
-        fast = Simulator(config_builder(), engine="fast").run(60.0)
-        reference = Simulator(config_builder(), engine="reference").run(60.0)
+    def test_simulation_traces_bit_identical(self, config_builder, request):
+        fast = Simulator(config_builder()).run(60.0)
+        _use_engine(request, "reference")
+        simulator = Simulator(config_builder())
+        assert isinstance(simulator.events, ReferenceEventQueue)
+        reference = simulator.run(60.0)
         assert _trace_fingerprint(fast.trace) == _trace_fingerprint(
             reference.trace
         )
         assert fast.events_executed == reference.events_executed
 
     @pytest.mark.parametrize("scenario", ["parking-lot", "chain", "mesh"])
-    def test_multihop_traces_bit_identical(self, scenario):
+    def test_multihop_traces_bit_identical(self, scenario, request):
         results = {}
-        for engine in ("fast", "reference"):
-            config = build_scenario(scenario, seed=13)
-            simulator = MultiHopSimulator(config, engine=engine)
+        for engine in ENGINES:
+            _use_engine(request, engine)
+            simulator = MultiHopSimulator(build_scenario(scenario, seed=13))
+            assert isinstance(simulator.events, ENGINES[engine])
             result = simulator.run(80.0)
             results[engine] = (
                 result.throughputs,
@@ -217,26 +232,17 @@ class TestEngineEquivalence:
             )
         assert results["fast"] == results["reference"]
 
-    def test_engine_registry_and_rejection(self):
-        assert set(EVENT_ENGINES) == {"fast", "reference"}
-        config = packet_level_jrj_scenario(n_sources=1)
-        with pytest.raises(ConfigurationError):
-            Simulator(config, engine="warp-drive")
-        with pytest.raises(ConfigurationError):
-            MultiHopSimulator(build_scenario("chain"), engine="warp-drive")
-
 
 class TestSeedGoldenTraces:
     """Rate-based (JRJ) and window-based (Jacobson, DECbit) sources on
     either engine reproduce the seed stack's traces bit for bit."""
 
-    @pytest.mark.parametrize("engine", sorted(EVENT_ENGINES))
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("label", list(SEED_CONFIGS))
-    def test_traces_match_seed_stack(self, label, engine):
+    def test_traces_match_seed_stack(self, label, engine, request):
+        _use_engine(request, engine)
         golden = np.load(SEED_GOLDEN_PATH)
-        result = Simulator(SEED_CONFIGS[label](), engine=engine).run(
-            SEED_DURATION
-        )
+        result = Simulator(SEED_CONFIGS[label]()).run(SEED_DURATION)
         trace = result.trace
 
         def expect(field):
@@ -264,12 +270,13 @@ class TestSeedGoldenTraces:
         ]
         assert result.events_executed == int(expect("events_executed"))
 
-    @pytest.mark.parametrize("engine", sorted(EVENT_ENGINES))
-    def test_dumbbell_64_matches_seed_stack(self, engine):
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_dumbbell_64_matches_seed_stack(self, engine, request):
         # Many jittered rate sources: the buffered jitter draws and the
         # periodic control timers against the seed's per-packet RNG calls.
+        _use_engine(request, engine)
         config = dumbbell_scenario(n_sources=64, seed=11)
-        result = Simulator(config, engine=engine).run(SEED_DUMBBELL_DURATION)
+        result = Simulator(config).run(SEED_DUMBBELL_DURATION)
         assert _trace_digest(result.trace, result.events_executed) == (
             SEED_DUMBBELL_DIGEST
         )

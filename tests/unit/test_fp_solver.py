@@ -12,7 +12,7 @@ from repro import (
     TimeParameters,
 )
 from repro.core.steady_state import estimate_steady_state, relaxation_time
-from repro.exceptions import AnalysisError, StabilityError
+from repro.exceptions import AnalysisError, ConfigurationError, StabilityError
 
 
 @pytest.fixture
@@ -103,6 +103,18 @@ class TestFokkerPlanckSolver:
             0.0, 0.8, TimeParameters(t_end=120.0, dt=1.0, snapshot_every=10))
         assert result.absorbed_mass >= 0.0
         assert result.final_moments.mass <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("q_max", [8.0, 10.0])
+    def test_grid_not_covering_target_rejected(self, jrj_control, q_max):
+        # q_target = 10: the density would pile against q_max and drain
+        # out unaccounted while absorbed_mass stayed zero.
+        params = SystemParameters(sigma=0.5)
+        grid_params = GridParameters(q_max=q_max, nq=80, nv=60)
+        with pytest.raises(ConfigurationError, match="q_target"):
+            FokkerPlanckSolver(params, jrj_control, grid_params=grid_params)
+        # A finite buffer that absorbs at q_max is a model, not a mistake.
+        FokkerPlanckSolver(params, jrj_control, grid_params=grid_params,
+                           boundary=BoundaryConditions(absorb_q_max=True))
 
     def test_mean_rate_series(self, solver, short_time_params):
         result = solver.solve_from_point(2.0, 0.6, short_time_params)

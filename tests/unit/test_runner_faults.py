@@ -8,6 +8,7 @@ fault schedule plus retries must yield values bit-identical to a
 fault-free serial run.
 """
 
+import gc
 import json
 import os
 import random
@@ -15,6 +16,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +249,19 @@ class TestJournalResume:
         assert not resumed.failures
         # And a second resume now serves the journaled successes.
         assert run_jobs(_jobs(2), journal=journal_path).journal_hits == 2
+
+    def test_journal_opened_from_path_is_closed(self, tmp_path):
+        journal_path = tmp_path / "campaign.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            run_jobs(_jobs(2), journal=journal_path)
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+        # A caller-owned journal stays open for further records.
+        with RunJournal(journal_path) as journal:
+            run_jobs(_jobs(3), journal=journal)
+            assert journal._handle is not None
 
     def test_truncated_tail_recovered(self, tmp_path):
         journal_path = tmp_path / "campaign.jsonl"
