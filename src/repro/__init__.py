@@ -36,262 +36,140 @@ Quick start::
     print(result.final_moments.mean_q, result.final_moments.std_q)
 """
 
-from .config import (
-    DelayParameters,
-    GridParameters,
-    SourceParameters,
-    SystemParameters,
-    TimeParameters,
-)
-from .exceptions import (
-    AnalysisError,
-    ConfigurationError,
-    ConvergenceError,
-    EventBudgetError,
-    GridError,
-    JobTimeoutError,
-    MassConservationError,
-    NegativeDensityError,
-    NonFiniteStateError,
-    NumericalHealthError,
-    QueueInvariantError,
-    ReproError,
-    ResidualHealthError,
-    ResultTransportError,
-    SimTimeError,
-    SimulationError,
-    StabilityError,
-    StepSizeError,
-    TransientJobError,
-    WorkerCrashError,
-)
-from .health import HealthLog, HealthMonitor, HealthReport, resolve_health
-from .control import (
-    DECbitWindow,
-    JacobsonWindow,
-    JRJControl,
-    LinearIncreaseLinearDecrease,
-    MultiplicativeIncreaseMultiplicativeDecrease,
-    RateControl,
-    WindowControl,
-    available_controls,
-    create_control,
-)
-from .core import (
-    BoundaryConditions,
-    DensityMoments,
-    DiscreteGenerator,
-    FokkerPlanckResult,
-    FokkerPlanckSolver,
-    ReducedSystemSolver,
-    SparseOperator,
-    SteadyStateEstimate,
-    assemble_generator,
-    compute_moments,
-    estimate_steady_state,
-    marginal_q,
-    marginal_v,
-    tail_probability,
-)
-from .characteristics import (
-    CharacteristicBatch,
-    CharacteristicTrajectory,
-    analyze_spiral,
-    analyze_spiral_batch,
-    classify_equilibrium,
-    find_equilibrium,
-    integrate_characteristic,
-    integrate_characteristic_batch,
-    is_convergent_spiral,
-    quadrant_drift_table,
-    verify_theorem1,
-    verify_theorem1_batch,
-)
-from .multisource import (
-    MultiSourceModel,
-    fairness_report,
-    jain_fairness_index,
-    predicted_equilibrium_shares,
-)
-from .delay import (
-    DelayedFokkerPlanckSolver,
-    DelayedSystem,
-    RoundTripUpdateModel,
-    critical_delay,
-    delay_sweep,
-    heterogeneous_delay_experiment,
-    measure_oscillation,
-)
-from .fluid import FluidModel, compare_fluid_and_fokker_planck
-from .queueing import (
-    MultiHopConfig,
-    MultiHopSimulator,
-    NetworkConfig,
-    SimulationResult,
-    Simulator,
-    SourceConfig,
-    available_scenarios,
-    build_scenario,
-)
-from .crossval import CrossValidationReport, cross_validate
-from .design import (
-    DelayShiftedControl,
-    GainGridScores,
-    GainSweepResult,
-    ObjectiveWeights,
-    OperatingPointScore,
-    RankedGain,
-    StationaryDensity,
-    StationaryEstimate,
-    compare_with_marching,
-    design_gains,
-    score_gain_grid,
-    score_operating_point,
-    solve_stationary,
-    solve_stationary_multisource,
-)
-from .stochastic import LangevinModel, compare_with_density, run_ensemble
-from .numerics import available_backends, get_backend
-from .runner import (
-    ExperimentSpec,
-    JobSpec,
-    MatrixResult,
-    ResultCache,
-    build_matrix,
-    expand_grid,
-    run_jobs,
-)
+from . import _lazy
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "__version__",
+_EXPORTS = {
     # configuration
-    "SystemParameters",
-    "GridParameters",
-    "TimeParameters",
-    "SourceParameters",
-    "DelayParameters",
+    "SystemParameters": ".config",
+    "GridParameters": ".config",
+    "TimeParameters": ".config",
+    "SourceParameters": ".config",
+    "DelayParameters": ".config",
     # exceptions
-    "ReproError",
-    "ConfigurationError",
-    "GridError",
-    "ConvergenceError",
-    "StabilityError",
-    "SimulationError",
-    "AnalysisError",
-    "TransientJobError",
-    "WorkerCrashError",
-    "JobTimeoutError",
-    "ResultTransportError",
-    "NumericalHealthError",
-    "NonFiniteStateError",
-    "MassConservationError",
-    "NegativeDensityError",
-    "QueueInvariantError",
-    "EventBudgetError",
-    "SimTimeError",
-    "StepSizeError",
-    "ResidualHealthError",
+    "ReproError": ".exceptions",
+    "ConfigurationError": ".exceptions",
+    "GridError": ".exceptions",
+    "ConvergenceError": ".exceptions",
+    "StabilityError": ".exceptions",
+    "SimulationError": ".exceptions",
+    "AnalysisError": ".exceptions",
+    "TransientJobError": ".exceptions",
+    "WorkerCrashError": ".exceptions",
+    "JobTimeoutError": ".exceptions",
+    "ResultTransportError": ".exceptions",
+    "NumericalHealthError": ".exceptions",
+    "NonFiniteStateError": ".exceptions",
+    "MassConservationError": ".exceptions",
+    "NegativeDensityError": ".exceptions",
+    "QueueInvariantError": ".exceptions",
+    "EventBudgetError": ".exceptions",
+    "SimTimeError": ".exceptions",
+    "StepSizeError": ".exceptions",
+    "ResidualHealthError": ".exceptions",
     # numerical health monitoring
-    "HealthReport",
-    "HealthLog",
-    "HealthMonitor",
-    "resolve_health",
+    "HealthReport": ".health",
+    "HealthLog": ".health",
+    "HealthMonitor": ".health",
+    "resolve_health": ".health",
     # control laws
-    "RateControl",
-    "WindowControl",
-    "JRJControl",
-    "LinearIncreaseLinearDecrease",
-    "MultiplicativeIncreaseMultiplicativeDecrease",
-    "JacobsonWindow",
-    "DECbitWindow",
-    "create_control",
-    "available_controls",
+    "RateControl": ".control",
+    "WindowControl": ".control",
+    "JRJControl": ".control",
+    "LinearIncreaseLinearDecrease": ".control",
+    "MultiplicativeIncreaseMultiplicativeDecrease": ".control",
+    "JacobsonWindow": ".control",
+    "DECbitWindow": ".control",
+    "create_control": ".control",
+    "available_controls": ".control",
     # Fokker-Planck core
-    "FokkerPlanckSolver",
-    "FokkerPlanckResult",
-    "BoundaryConditions",
-    "DensityMoments",
-    "ReducedSystemSolver",
-    "compute_moments",
-    "marginal_q",
-    "marginal_v",
-    "tail_probability",
-    "SparseOperator",
-    "DiscreteGenerator",
-    "assemble_generator",
-    "SteadyStateEstimate",
-    "estimate_steady_state",
+    "FokkerPlanckSolver": ".core",
+    "FokkerPlanckResult": ".core",
+    "BoundaryConditions": ".core",
+    "DensityMoments": ".core",
+    "ReducedSystemSolver": ".core",
+    "compute_moments": ".core",
+    "marginal_q": ".core",
+    "marginal_v": ".core",
+    "tail_probability": ".core",
+    "SparseOperator": ".core",
+    "DiscreteGenerator": ".core",
+    "assemble_generator": ".core",
+    "SteadyStateEstimate": ".core",
+    "estimate_steady_state": ".core",
     # characteristics / Section 5
-    "CharacteristicBatch",
-    "CharacteristicTrajectory",
-    "integrate_characteristic",
-    "integrate_characteristic_batch",
-    "quadrant_drift_table",
-    "find_equilibrium",
-    "classify_equilibrium",
-    "analyze_spiral",
-    "analyze_spiral_batch",
-    "is_convergent_spiral",
-    "verify_theorem1",
-    "verify_theorem1_batch",
+    "CharacteristicBatch": ".characteristics",
+    "CharacteristicTrajectory": ".characteristics",
+    "integrate_characteristic": ".characteristics",
+    "integrate_characteristic_batch": ".characteristics",
+    "quadrant_drift_table": ".characteristics",
+    "find_equilibrium": ".characteristics",
+    "classify_equilibrium": ".characteristics",
+    "analyze_spiral": ".characteristics",
+    "analyze_spiral_batch": ".characteristics",
+    "is_convergent_spiral": ".characteristics",
+    "verify_theorem1": ".characteristics",
+    "verify_theorem1_batch": ".characteristics",
     # multiple sources / Section 6
-    "MultiSourceModel",
-    "predicted_equilibrium_shares",
-    "fairness_report",
-    "jain_fairness_index",
+    "MultiSourceModel": ".multisource",
+    "predicted_equilibrium_shares": ".multisource",
+    "fairness_report": ".multisource",
+    "jain_fairness_index": ".multisource",
     # delayed feedback / Section 7
-    "DelayedSystem",
-    "DelayedFokkerPlanckSolver",
-    "RoundTripUpdateModel",
-    "critical_delay",
-    "measure_oscillation",
-    "delay_sweep",
-    "heterogeneous_delay_experiment",
+    "DelayedSystem": ".delay",
+    "DelayedFokkerPlanckSolver": ".delay",
+    "RoundTripUpdateModel": ".delay",
+    "critical_delay": ".delay",
+    "measure_oscillation": ".delay",
+    "delay_sweep": ".delay",
+    "heterogeneous_delay_experiment": ".delay",
     # fluid baseline
-    "FluidModel",
-    "compare_fluid_and_fokker_planck",
+    "FluidModel": ".fluid",
+    "compare_fluid_and_fokker_planck": ".fluid",
     # packet-level simulator
-    "Simulator",
-    "SimulationResult",
-    "NetworkConfig",
-    "SourceConfig",
-    "MultiHopConfig",
-    "MultiHopSimulator",
-    "available_scenarios",
-    "build_scenario",
+    "Simulator": ".queueing",
+    "SimulationResult": ".queueing",
+    "NetworkConfig": ".queueing",
+    "SourceConfig": ".queueing",
+    "MultiHopConfig": ".queueing",
+    "MultiHopSimulator": ".queueing",
+    "available_scenarios": ".queueing",
+    "build_scenario": ".queueing",
     # DES-vs-FP cross-validation
-    "CrossValidationReport",
-    "cross_validate",
+    "CrossValidationReport": ".crossval",
+    "cross_validate": ".crossval",
     # gain design / stationary solves
-    "DelayShiftedControl",
-    "StationaryEstimate",
-    "StationaryDensity",
-    "solve_stationary",
-    "solve_stationary_multisource",
-    "compare_with_marching",
-    "ObjectiveWeights",
-    "OperatingPointScore",
-    "GainGridScores",
-    "score_gain_grid",
-    "score_operating_point",
-    "RankedGain",
-    "GainSweepResult",
-    "design_gains",
+    "DelayShiftedControl": ".design",
+    "StationaryEstimate": ".design",
+    "StationaryDensity": ".design",
+    "solve_stationary": ".design",
+    "solve_stationary_multisource": ".design",
+    "compare_with_marching": ".design",
+    "ObjectiveWeights": ".design",
+    "OperatingPointScore": ".design",
+    "GainGridScores": ".design",
+    "score_gain_grid": ".design",
+    "score_operating_point": ".design",
+    "RankedGain": ".design",
+    "GainSweepResult": ".design",
+    "design_gains": ".design",
     # Monte-Carlo validation
-    "LangevinModel",
-    "run_ensemble",
-    "compare_with_density",
+    "LangevinModel": ".stochastic",
+    "run_ensemble": ".stochastic",
+    "compare_with_density": ".stochastic",
     # kernel backends
-    "get_backend",
-    "available_backends",
+    "get_backend": ".numerics",
+    "available_backends": ".numerics",
     # experiment orchestration
-    "JobSpec",
-    "ExperimentSpec",
-    "MatrixResult",
-    "ResultCache",
-    "expand_grid",
-    "build_matrix",
-    "run_jobs",
-]
+    "JobSpec": ".runner",
+    "ExperimentSpec": ".runner",
+    "MatrixResult": ".runner",
+    "ResultCache": ".runner",
+    "expand_grid": ".runner",
+    "build_matrix": ".runner",
+    "run_jobs": ".runner",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+__all__ = ["__version__", *_EXPORTS]

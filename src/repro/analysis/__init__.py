@@ -7,41 +7,29 @@ amplitude and period, fairness indices and share tables, and plain-text
 report tables that the benchmark harness prints.
 """
 
-from .convergence import ConvergenceReport, assess_convergence, settling_time
-from .oscillations import (OscillationMetrics, OscillationMetricsBatch,
-                           oscillation_metrics, oscillation_metrics_batch)
-from .fairness import ShareTable, share_table
-from .metrics import (
-    overshoot,
-    time_to_first_peak,
-    mean_absolute_error,
-    root_mean_square_error,
-)
-from .report import format_table, format_series, format_key_values
-from .phase_portrait import (
-    render_phase_portrait,
-    render_trajectory_portrait,
-    render_batch_portrait,
-)
+from .. import _lazy
 
-__all__ = [
-    "render_phase_portrait",
-    "render_trajectory_portrait",
-    "render_batch_portrait",
-    "ConvergenceReport",
-    "assess_convergence",
-    "settling_time",
-    "OscillationMetrics",
-    "OscillationMetricsBatch",
-    "oscillation_metrics",
-    "oscillation_metrics_batch",
-    "ShareTable",
-    "share_table",
-    "overshoot",
-    "time_to_first_peak",
-    "mean_absolute_error",
-    "root_mean_square_error",
-    "format_table",
-    "format_series",
-    "format_key_values",
-]
+_EXPORTS = {
+    "render_phase_portrait": ".phase_portrait",
+    "render_trajectory_portrait": ".phase_portrait",
+    "render_batch_portrait": ".phase_portrait",
+    "ConvergenceReport": ".convergence",
+    "assess_convergence": ".convergence",
+    "settling_time": ".convergence",
+    "OscillationMetrics": ".oscillations",
+    "OscillationMetricsBatch": ".oscillations",
+    "oscillation_metrics": ".oscillations",
+    "oscillation_metrics_batch": ".oscillations",
+    "ShareTable": ".fairness",
+    "share_table": ".fairness",
+    "overshoot": ".metrics",
+    "time_to_first_peak": ".metrics",
+    "mean_absolute_error": ".metrics",
+    "root_mean_square_error": ".metrics",
+    "format_table": ".report",
+    "format_series": ".report",
+    "format_key_values": ".report",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

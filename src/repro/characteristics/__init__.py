@@ -9,52 +9,31 @@ the qualitative change -- limit cycles -- introduced by delayed feedback
 (Section 7).  This subpackage reproduces each of those analyses.
 """
 
-from .trajectory import (
-    CharacteristicBatch,
-    CharacteristicTrajectory,
-    integrate_characteristic,
-    integrate_characteristic_batch,
-)
-from .phase_plane import QuadrantDrift, quadrant_drift_table, drift_field
-from .equilibrium import Equilibrium, find_equilibrium, classify_equilibrium
-from .limit_cycle import (
-    SpiralAnalysis,
-    analyze_spiral,
-    analyze_spiral_batch,
-    peak_contraction_ratios,
-    is_convergent_spiral,
-)
-from .theorem1 import (
-    Theorem1Verification,
-    verify_theorem1,
-    verify_theorem1_batch,
-)
-from .poincare import (
-    PoincareSection,
-    compute_poincare_section,
-    compute_poincare_sections,
-)
+from .. import _lazy
 
-__all__ = [
-    "PoincareSection",
-    "compute_poincare_section",
-    "compute_poincare_sections",
-    "CharacteristicBatch",
-    "CharacteristicTrajectory",
-    "integrate_characteristic",
-    "integrate_characteristic_batch",
-    "QuadrantDrift",
-    "quadrant_drift_table",
-    "drift_field",
-    "Equilibrium",
-    "find_equilibrium",
-    "classify_equilibrium",
-    "SpiralAnalysis",
-    "analyze_spiral",
-    "analyze_spiral_batch",
-    "peak_contraction_ratios",
-    "is_convergent_spiral",
-    "Theorem1Verification",
-    "verify_theorem1",
-    "verify_theorem1_batch",
-]
+_EXPORTS = {
+    "PoincareSection": ".poincare",
+    "compute_poincare_section": ".poincare",
+    "compute_poincare_sections": ".poincare",
+    "CharacteristicBatch": ".trajectory",
+    "CharacteristicTrajectory": ".trajectory",
+    "integrate_characteristic": ".trajectory",
+    "integrate_characteristic_batch": ".trajectory",
+    "QuadrantDrift": ".phase_plane",
+    "quadrant_drift_table": ".phase_plane",
+    "drift_field": ".phase_plane",
+    "Equilibrium": ".equilibrium",
+    "find_equilibrium": ".equilibrium",
+    "classify_equilibrium": ".equilibrium",
+    "SpiralAnalysis": ".limit_cycle",
+    "analyze_spiral": ".limit_cycle",
+    "analyze_spiral_batch": ".limit_cycle",
+    "peak_contraction_ratios": ".limit_cycle",
+    "is_convergent_spiral": ".limit_cycle",
+    "Theorem1Verification": ".theorem1",
+    "verify_theorem1": ".theorem1",
+    "verify_theorem1_batch": ".theorem1",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -61,12 +61,7 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
-from .analysis import (
-    format_key_values,
-    format_table,
-    render_trajectory_portrait,
-)
-from .characteristics import verify_theorem1
+from .analysis import format_key_values, format_table
 from .config import GridParameters, SystemParameters
 from .core.stepper import available_steppers
 from .exceptions import ConfigurationError
@@ -409,6 +404,9 @@ def _run_theorem1(args: argparse.Namespace) -> int:
     if args.portrait:
         # The portrait needs the full trajectory, which the compact runner
         # result intentionally omits; compute directly.
+        from .analysis import render_trajectory_portrait
+        from .characteristics import verify_theorem1
+
         verification = verify_theorem1(params)
         summary = {
             "converges": verification.converges,

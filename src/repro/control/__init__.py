@@ -14,28 +14,23 @@ target ``q̂`` and exponential decrease above it.  This subpackage provides
 * a small registry so scenarios and benchmarks can look laws up by name.
 """
 
-from .base import RateControl, WindowControl
-from .jrj import JRJControl, jrj_from_parameters
-from .linear import LinearIncreaseLinearDecrease, AdditiveIncreaseAdditiveDecrease
-from .multiplicative import (
-    MultiplicativeIncreaseMultiplicativeDecrease,
-    LinearIncreaseMultiplicativeStepDecrease,
-)
-from .window import JacobsonWindow, DECbitWindow
-from .registry import register_control, create_control, available_controls
+from .. import _lazy
 
-__all__ = [
-    "RateControl",
-    "WindowControl",
-    "JRJControl",
-    "jrj_from_parameters",
-    "LinearIncreaseLinearDecrease",
-    "AdditiveIncreaseAdditiveDecrease",
-    "MultiplicativeIncreaseMultiplicativeDecrease",
-    "LinearIncreaseMultiplicativeStepDecrease",
-    "JacobsonWindow",
-    "DECbitWindow",
-    "register_control",
-    "create_control",
-    "available_controls",
-]
+_EXPORTS = {
+    "RateControl": ".base",
+    "WindowControl": ".base",
+    "JRJControl": ".jrj",
+    "jrj_from_parameters": ".jrj",
+    "LinearIncreaseLinearDecrease": ".linear",
+    "AdditiveIncreaseAdditiveDecrease": ".linear",
+    "MultiplicativeIncreaseMultiplicativeDecrease": ".multiplicative",
+    "LinearIncreaseMultiplicativeStepDecrease": ".multiplicative",
+    "JacobsonWindow": ".window",
+    "DECbitWindow": ".window",
+    "register_control": ".registry",
+    "create_control": ".registry",
+    "available_controls": ".registry",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

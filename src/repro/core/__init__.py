@@ -17,46 +17,33 @@ characteristics, reproducing the paper's Section 5 analysis directly
 (:mod:`repro.core.reduced`).
 """
 
-from .advection import (
-    UpwindAdvection,
-    cfl_time_step,
-    cfl_time_step_from_speeds,
-)
-from .boundary import BoundaryConditions
-from .diffusion import CrankNicolsonDiffusion
-from .initial import (
-    delta_initial_density,
-    gaussian_initial_density,
-    uniform_initial_density,
-)
-from .generator import DiscreteGenerator, SparseOperator, assemble_generator
-from .moments import DensityMoments, compute_moments, marginal_q, marginal_v, tail_probability
-from .reduced import ReducedSystemSolver
-from .solver import FokkerPlanckSolver, FokkerPlanckResult, DensitySnapshot
-from .steady_state import SteadyStateEstimate, estimate_steady_state, relaxation_time
+from .. import _lazy
 
-__all__ = [
-    "UpwindAdvection",
-    "cfl_time_step",
-    "cfl_time_step_from_speeds",
-    "BoundaryConditions",
-    "CrankNicolsonDiffusion",
-    "delta_initial_density",
-    "gaussian_initial_density",
-    "uniform_initial_density",
-    "DensityMoments",
-    "compute_moments",
-    "marginal_q",
-    "marginal_v",
-    "tail_probability",
-    "ReducedSystemSolver",
-    "FokkerPlanckSolver",
-    "FokkerPlanckResult",
-    "DensitySnapshot",
-    "SteadyStateEstimate",
-    "estimate_steady_state",
-    "relaxation_time",
-    "SparseOperator",
-    "DiscreteGenerator",
-    "assemble_generator",
-]
+_EXPORTS = {
+    "UpwindAdvection": ".advection",
+    "cfl_time_step": ".advection",
+    "cfl_time_step_from_speeds": ".advection",
+    "BoundaryConditions": ".boundary",
+    "CrankNicolsonDiffusion": ".diffusion",
+    "delta_initial_density": ".initial",
+    "gaussian_initial_density": ".initial",
+    "uniform_initial_density": ".initial",
+    "DensityMoments": ".moments",
+    "compute_moments": ".moments",
+    "marginal_q": ".moments",
+    "marginal_v": ".moments",
+    "tail_probability": ".moments",
+    "ReducedSystemSolver": ".reduced",
+    "FokkerPlanckSolver": ".solver",
+    "FokkerPlanckResult": ".solver",
+    "DensitySnapshot": ".solver",
+    "SteadyStateEstimate": ".steady_state",
+    "estimate_steady_state": ".steady_state",
+    "relaxation_time": ".steady_state",
+    "SparseOperator": ".generator",
+    "DiscreteGenerator": ".generator",
+    "assemble_generator": ".generator",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

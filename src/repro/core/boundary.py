@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..exceptions import GridError
 from ..numerics.grids import PhaseGrid2D
 
 __all__ = ["BoundaryConditions"]
@@ -39,6 +40,21 @@ class BoundaryConditions:
 
     reflect_q_zero: bool = True
     absorb_q_max: bool = False
+
+    def check_grid_covers(self, q_max: float, q_target: float) -> None:
+        """Reject a reflecting ``q_max`` at or below the operating point.
+
+        With ``q_target >= q_max`` the density piles against that edge: a
+        march drains it out through the q-advection outflow, which
+        ``absorbed_mass`` does not count, and a stationary solve has no
+        normalisable density to converge to.  An absorbing edge models a
+        finite buffer and is accepted.
+        """
+        if q_max <= q_target and not self.absorb_q_max:
+            raise GridError(
+                f"grid q_max={q_max:g} does not exceed q_target={q_target:g}; "
+                f"widen the grid, or for a marching solve set "
+                f"BoundaryConditions(absorb_q_max=True) for a finite buffer")
 
     def apply_post_step(self, density: np.ndarray, grid: PhaseGrid2D,
                         inplace: bool = False) -> tuple[np.ndarray, float]:

@@ -406,7 +406,8 @@ def assemble_generator(params: SystemParameters,
         Rate-control law supplying the ν-drift ``g``; defaults to the JRJ
         law built from *params*.
     grid_params:
-        Phase-grid discretisation (defaults to :class:`GridParameters`).
+        Phase-grid discretisation (defaults to :class:`GridParameters`);
+        its ``q_max`` must exceed ``params.q_target``.
     drift:
         Optional precomputed drift field overriding the control evaluation
         (used by the delayed-feedback stationary solve, whose drift is
@@ -428,6 +429,7 @@ def assemble_generator(params: SystemParameters,
             "boundary conditions (an absorbing boundary has no normalisable "
             "stationary density)")
     grid_params = grid_params if grid_params is not None else GridParameters()
+    boundary.check_grid_covers(grid_params.q_max, params.q_target)
     grid = PhaseGrid2D.from_bounds(q_max=grid_params.q_max, nq=grid_params.nq,
                                    v_min=grid_params.v_min,
                                    v_max=grid_params.v_max, nv=grid_params.nv)

@@ -10,23 +10,19 @@ vocabulary threaded through ``repro run`` / ``repro ensemble`` /
 ``repro design``.  See ``docs/dataplane.md``.
 """
 
-from .accumulators import (
-    StreamingHistogram,
-    StreamingMoments,
-    TimeWeightedMoments,
-)
-from .columnar import ColumnarTrace
-from .retention import RETENTION_POLICIES, validate_retention
-from .sink import MomentsTraceSink, NullTraceSink, TraceSink
+from .. import _lazy
 
-__all__ = [
-    "ColumnarTrace",
-    "StreamingMoments",
-    "StreamingHistogram",
-    "TimeWeightedMoments",
-    "TraceSink",
-    "NullTraceSink",
-    "MomentsTraceSink",
-    "RETENTION_POLICIES",
-    "validate_retention",
-]
+_EXPORTS = {
+    "ColumnarTrace": ".columnar",
+    "StreamingMoments": ".accumulators",
+    "StreamingHistogram": ".accumulators",
+    "TimeWeightedMoments": ".accumulators",
+    "TraceSink": ".sink",
+    "NullTraceSink": ".sink",
+    "MomentsTraceSink": ".sink",
+    "RETENTION_POLICIES": ".retention",
+    "validate_retention": ".retention",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

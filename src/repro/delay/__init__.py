@@ -17,29 +17,23 @@ Section 7's findings, all reproduced here, are:
   [Jac 88] and Zhang [Zha 89] about long-haul connections.
 """
 
-from .delayed_model import DelayedSystem, DelayedTrajectory
-from .oscillation import OscillationSummary, measure_oscillation, delay_sweep
-from .heterogeneous import (
-    HeterogeneousDelayResult,
-    heterogeneous_delay_experiment,
-    delay_ratio_sweep,
-)
-from .fokker_planck_delay import DelayedFokkerPlanckSolver
-from .round_trip import RoundTripUpdateModel, predicted_round_trip_shares
-from .stability import critical_delay, delay_margin_table
+from .. import _lazy
 
-__all__ = [
-    "RoundTripUpdateModel",
-    "predicted_round_trip_shares",
-    "critical_delay",
-    "delay_margin_table",
-    "DelayedSystem",
-    "DelayedTrajectory",
-    "OscillationSummary",
-    "measure_oscillation",
-    "delay_sweep",
-    "HeterogeneousDelayResult",
-    "heterogeneous_delay_experiment",
-    "delay_ratio_sweep",
-    "DelayedFokkerPlanckSolver",
-]
+_EXPORTS = {
+    "RoundTripUpdateModel": ".round_trip",
+    "predicted_round_trip_shares": ".round_trip",
+    "critical_delay": ".stability",
+    "delay_margin_table": ".stability",
+    "DelayedSystem": ".delayed_model",
+    "DelayedTrajectory": ".delayed_model",
+    "OscillationSummary": ".oscillation",
+    "measure_oscillation": ".oscillation",
+    "delay_sweep": ".oscillation",
+    "HeterogeneousDelayResult": ".heterogeneous",
+    "heterogeneous_delay_experiment": ".heterogeneous",
+    "delay_ratio_sweep": ".heterogeneous",
+    "DelayedFokkerPlanckSolver": ".fokker_planck_delay",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

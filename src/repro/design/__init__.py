@@ -10,6 +10,9 @@ oscillation-versus-convergence Pareto front.  Exposed on the command line
 as ``repro design`` and through the ``design-gain-grid`` runner matrix.
 """
 
+# Unlike the other packages, the exports here stay eager: the benchmark's
+# span wrappers (perfbench/spans.py) patch ``solve_stationary`` through
+# this module's namespace, where a lazy export would not be bound yet.
 from .objectives import (GainGridScores, ObjectiveWeights,
                          OperatingPointScore, combine_score,
                          deployment_unfairness, score_gain_grid,

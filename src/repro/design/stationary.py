@@ -258,6 +258,9 @@ def solve_stationary(params: SystemParameters,
 
     Raises
     ------
+    GridError
+        If the grid's ``q_max`` does not exceed ``params.q_target`` (checked
+        before any factorization).
     ConvergenceError
         If the null solve stalls.
     """

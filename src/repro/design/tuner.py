@@ -216,6 +216,24 @@ def _widened(grid: GridParameters) -> GridParameters:
                           v_min=grid.v_min, v_max=grid.v_max, nv=grid.nv)
 
 
+def _try_stationary(params: SystemParameters, grid: GridParameters,
+                    dt: float, backend):
+    """Stationary refine of one point, or ``None`` if *grid* cannot hold it.
+
+    A grid whose ``q_max`` does not exceed the point's ``q_target`` is
+    refused by :func:`solve_stationary` before any solve, and a stalled
+    null solve raises :class:`ConvergenceError`; both mean "try a wider
+    grid".  Any other error propagates.
+    """
+    if grid.q_max <= params.q_target:
+        return None
+    try:
+        return solve_stationary(params, grid_params=grid, dt=dt,
+                                backend=backend, health="off")
+    except ConvergenceError:
+        return None
+
+
 def design_gains(params: SystemParameters,
                  c0_values=None, c1_values=None, q_target_values=None,
                  mu_values=None,
@@ -386,25 +404,22 @@ def design_gains(params: SystemParameters,
             # monitor here, and its policy must see the first failure
             # before the widened-grid retry (a strict inner monitor would
             # abort before the retry could run).
-            try:
-                stationary = solve_stationary(point_params, grid_params=grid,
-                                              dt=refine_dt, backend=backend,
-                                              health="off")
-            except ConvergenceError:
-                # Mass is probably leaking through a too-small domain;
-                # retry once on a doubled queue extent, then fall back to
-                # the coarse entry rather than abort the whole sweep.
+            stationary = _try_stationary(point_params, grid, refine_dt,
+                                         backend)
+            if stationary is None:
+                # The domain does not reach the operating point, or mass is
+                # probably leaking through a too-small one; retry once on a
+                # doubled queue extent, then fall back to the coarse entry
+                # rather than abort the whole sweep.
                 if monitor is not None and monitor.mode != "strict":
                     # Counted as a repair in repair mode, recorded in
                     # observe; strict only aborts on the double failure.
                     monitor.check_residual(
                         float("inf"), 1e-9, repair=lambda: None,
                         label=f"{point_label}: widened-grid retry")
-                try:
-                    stationary = solve_stationary(
-                        point_params, grid_params=_widened(grid),
-                        dt=refine_dt, backend=backend, health="off")
-                except ConvergenceError:
+                stationary = _try_stationary(point_params, _widened(grid),
+                                             refine_dt, backend)
+                if stationary is None:
                     if monitor is not None:
                         monitor.check_residual(
                             float("inf"), 1e-9,

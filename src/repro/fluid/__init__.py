@@ -9,12 +9,14 @@ the control law for the rate) so the comparison experiment (E9) can run the
 two side by side.
 """
 
-from .bolot_shankar import FluidModel, FluidTrajectory
-from .comparison import compare_fluid_and_fokker_planck, FluidFPComparison
+from .. import _lazy
 
-__all__ = [
-    "FluidModel",
-    "FluidTrajectory",
-    "compare_fluid_and_fokker_planck",
-    "FluidFPComparison",
-]
+_EXPORTS = {
+    "FluidModel": ".bolot_shankar",
+    "FluidTrajectory": ".bolot_shankar",
+    "compare_fluid_and_fokker_planck": ".comparison",
+    "FluidFPComparison": ".comparison",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

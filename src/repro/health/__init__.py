@@ -21,37 +21,24 @@ Monitors are created with :meth:`HealthMonitor.create`, which returns
 ``None`` for ``off`` so hot paths keep their original unguarded code.
 """
 
-from .faults import (
-    KNOWN_NUMERICAL_FAULTS,
-    arm_numerical_fault,
-    armed_numerical_faults,
-    consume_numerical_fault,
-    reset_numerical_faults,
-)
-from .monitors import HealthMonitor
-from .policy import (
-    DEFAULT_HEALTH,
-    HEALTH_ENV_VAR,
-    HEALTH_MODES,
-    is_known_health,
-    resolve_health,
-    validate_health,
-)
-from .report import HealthLog, HealthReport
+from .. import _lazy
 
-__all__ = [
-    "DEFAULT_HEALTH",
-    "HEALTH_ENV_VAR",
-    "HEALTH_MODES",
-    "HealthLog",
-    "HealthMonitor",
-    "HealthReport",
-    "KNOWN_NUMERICAL_FAULTS",
-    "arm_numerical_fault",
-    "armed_numerical_faults",
-    "consume_numerical_fault",
-    "is_known_health",
-    "reset_numerical_faults",
-    "resolve_health",
-    "validate_health",
-]
+_EXPORTS = {
+    "DEFAULT_HEALTH": ".policy",
+    "HEALTH_ENV_VAR": ".policy",
+    "HEALTH_MODES": ".policy",
+    "HealthLog": ".report",
+    "HealthMonitor": ".monitors",
+    "HealthReport": ".report",
+    "KNOWN_NUMERICAL_FAULTS": ".faults",
+    "arm_numerical_fault": ".faults",
+    "armed_numerical_faults": ".faults",
+    "consume_numerical_fault": ".faults",
+    "is_known_health": ".policy",
+    "reset_numerical_faults": ".faults",
+    "resolve_health": ".policy",
+    "validate_health": ".policy",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

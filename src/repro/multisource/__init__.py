@@ -15,27 +15,19 @@ closed-form equilibrium-share prediction and the fairness metrics used by
 the Section 6 experiments (E5 and E10).
 """
 
-from .model import MultiSourceModel, MultiSourceTrajectory
-from .fairness import (
-    FairnessReport,
-    predicted_equilibrium_shares,
-    fairness_report,
-    jain_fairness_index,
-)
-from .fokker_planck_ms import (
-    AggregateControl,
-    MultiSourceDensityResult,
-    MultiSourceFokkerPlanck,
-)
+from .. import _lazy
 
-__all__ = [
-    "AggregateControl",
-    "MultiSourceFokkerPlanck",
-    "MultiSourceDensityResult",
-    "MultiSourceModel",
-    "MultiSourceTrajectory",
-    "FairnessReport",
-    "predicted_equilibrium_shares",
-    "fairness_report",
-    "jain_fairness_index",
-]
+_EXPORTS = {
+    "AggregateControl": ".fokker_planck_ms",
+    "MultiSourceFokkerPlanck": ".fokker_planck_ms",
+    "MultiSourceDensityResult": ".fokker_planck_ms",
+    "MultiSourceModel": ".model",
+    "MultiSourceTrajectory": ".model",
+    "FairnessReport": ".fairness",
+    "predicted_equilibrium_shares": ".fairness",
+    "fairness_report": ".fairness",
+    "jain_fairness_index": ".fairness",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

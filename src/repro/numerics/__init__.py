@@ -7,76 +7,49 @@ root finding) lives here, so the physics and control layers above never have
 to reach for ad-hoc numerical code.
 """
 
-from .grids import UniformGrid1D, PhaseGrid2D
-from .tridiag import TridiagonalFactorization, solve_tridiagonal
-from .backend import (
-    BACKEND_ENV_VAR,
-    NumericsBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from .integrate import trapezoid, simpson, cumulative_trapezoid, normalize_density
-from .interpolate import (
-    linear_interpolate,
-    bilinear_interpolate,
-    interp_columns,
-    Interpolant1D,
-)
-from .ode import (
-    euler_step,
-    rk4_step,
-    integrate_fixed,
-    integrate_adaptive,
-    integrate_fixed_batch,
-    integrate_adaptive_batch,
-    ODEResult,
-    BatchODEResult,
-)
-from .dde import DelayBuffer, integrate_dde, DDEResult
-from .sde import euler_maruyama, milstein, SDEPaths
-from .spectral import dominant_period, power_spectrum, detect_peaks
-from .stats import RunningStatistics, WeightedStatistics, empirical_density
-from .rootfind import bisect, newton
+from .. import _lazy
 
-__all__ = [
-    "UniformGrid1D",
-    "PhaseGrid2D",
-    "TridiagonalFactorization",
-    "solve_tridiagonal",
-    "BACKEND_ENV_VAR",
-    "NumericsBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "trapezoid",
-    "simpson",
-    "cumulative_trapezoid",
-    "normalize_density",
-    "linear_interpolate",
-    "bilinear_interpolate",
-    "interp_columns",
-    "Interpolant1D",
-    "euler_step",
-    "rk4_step",
-    "integrate_fixed",
-    "integrate_adaptive",
-    "integrate_fixed_batch",
-    "integrate_adaptive_batch",
-    "ODEResult",
-    "BatchODEResult",
-    "DelayBuffer",
-    "integrate_dde",
-    "DDEResult",
-    "euler_maruyama",
-    "milstein",
-    "SDEPaths",
-    "dominant_period",
-    "power_spectrum",
-    "detect_peaks",
-    "RunningStatistics",
-    "WeightedStatistics",
-    "empirical_density",
-    "bisect",
-    "newton",
-]
+_EXPORTS = {
+    "UniformGrid1D": ".grids",
+    "PhaseGrid2D": ".grids",
+    "TridiagonalFactorization": ".tridiag",
+    "solve_tridiagonal": ".tridiag",
+    "BACKEND_ENV_VAR": ".backend",
+    "NumericsBackend": ".backend",
+    "available_backends": ".backend",
+    "get_backend": ".backend",
+    "register_backend": ".backend",
+    "trapezoid": ".integrate",
+    "simpson": ".integrate",
+    "cumulative_trapezoid": ".integrate",
+    "normalize_density": ".integrate",
+    "linear_interpolate": ".interpolate",
+    "bilinear_interpolate": ".interpolate",
+    "interp_columns": ".interpolate",
+    "Interpolant1D": ".interpolate",
+    "euler_step": ".ode",
+    "rk4_step": ".ode",
+    "integrate_fixed": ".ode",
+    "integrate_adaptive": ".ode",
+    "integrate_fixed_batch": ".ode",
+    "integrate_adaptive_batch": ".ode",
+    "ODEResult": ".ode",
+    "BatchODEResult": ".ode",
+    "DelayBuffer": ".dde",
+    "integrate_dde": ".dde",
+    "DDEResult": ".dde",
+    "euler_maruyama": ".sde",
+    "milstein": ".sde",
+    "SDEPaths": ".sde",
+    "dominant_period": ".spectral",
+    "power_spectrum": ".spectral",
+    "detect_peaks": ".spectral",
+    "RunningStatistics": ".stats",
+    "WeightedStatistics": ".stats",
+    "empirical_density": ".stats",
+    "bisect": ".rootfind",
+    "newton": ".rootfind",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -18,69 +18,45 @@ The simulator validates the continuous models: the fairness, oscillation and
 delay-unfairness experiments all have a packet-level counterpart.
 """
 
-from .events import Event, EventQueue, PeriodicTimer, ReferenceEventQueue
-from .packet import Packet
-from .random_streams import (
-    BufferedJitter,
-    RandomStreams,
-    child_seed_sequence,
-    child_seed_sequences,
-    derive_child_seed,
-    derive_child_seeds,
-)
-from .trace import TimeSeriesTrace, SimulationTrace
-from .queue_node import BottleneckQueue
-from .feedback import FeedbackChannel
-from .source import RateSource, WindowSource
-from .network import NetworkConfig, SourceConfig
-from .simulator import Simulator, SimulationResult
-from .topology import MultiHopConfig, NodeConfig, Route
-from .multihop import MultiHopResult, MultiHopSimulator, parking_lot_scenario
-from .scenarios import (
-    ScenarioSpec,
-    available_scenarios,
-    build_scenario,
-    chain_scenario,
-    dumbbell_scenario,
-    get_scenario,
-    random_mesh_scenario,
-    register_scenario,
-)
+from .. import _lazy
 
-__all__ = [
-    "NodeConfig",
-    "Route",
-    "MultiHopConfig",
-    "MultiHopSimulator",
-    "MultiHopResult",
-    "parking_lot_scenario",
-    "Event",
-    "EventQueue",
-    "PeriodicTimer",
-    "ReferenceEventQueue",
-    "Packet",
-    "BufferedJitter",
-    "RandomStreams",
-    "child_seed_sequence",
-    "child_seed_sequences",
-    "derive_child_seed",
-    "derive_child_seeds",
-    "TimeSeriesTrace",
-    "SimulationTrace",
-    "BottleneckQueue",
-    "FeedbackChannel",
-    "RateSource",
-    "WindowSource",
-    "NetworkConfig",
-    "SourceConfig",
-    "Simulator",
-    "SimulationResult",
-    "ScenarioSpec",
-    "available_scenarios",
-    "build_scenario",
-    "chain_scenario",
-    "dumbbell_scenario",
-    "get_scenario",
-    "random_mesh_scenario",
-    "register_scenario",
-]
+_EXPORTS = {
+    "NodeConfig": ".topology",
+    "Route": ".topology",
+    "MultiHopConfig": ".topology",
+    "MultiHopSimulator": ".multihop",
+    "MultiHopResult": ".multihop",
+    "parking_lot_scenario": ".multihop",
+    "Event": ".events",
+    "EventQueue": ".events",
+    "PeriodicTimer": ".events",
+    "ReferenceEventQueue": ".events",
+    "Packet": ".packet",
+    "BufferedJitter": ".random_streams",
+    "RandomStreams": ".random_streams",
+    "child_seed_sequence": ".random_streams",
+    "child_seed_sequences": ".random_streams",
+    "derive_child_seed": ".random_streams",
+    "derive_child_seeds": ".random_streams",
+    "TimeSeriesTrace": ".trace",
+    "SimulationTrace": ".trace",
+    "BottleneckQueue": ".queue_node",
+    "FeedbackChannel": ".feedback",
+    "RateSource": ".source",
+    "WindowSource": ".source",
+    "NetworkConfig": ".network",
+    "SourceConfig": ".network",
+    "Simulator": ".simulator",
+    "SimulationResult": ".simulator",
+    "ScenarioSpec": ".scenarios",
+    "available_scenarios": ".scenarios",
+    "build_scenario": ".scenarios",
+    "chain_scenario": ".scenarios",
+    "dumbbell_scenario": ".scenarios",
+    "get_scenario": ".scenarios",
+    "random_mesh_scenario": ".scenarios",
+    "register_scenario": ".scenarios",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -44,43 +44,32 @@ Quick start::
         print(outcome.spec.label, outcome.value)
 """
 
-from .cache import CacheEntryInfo, ResultCache, default_cache_dir
-from .executor import (
-    JobOutcome,
-    MatrixResult,
-    RetryPolicy,
-    print_progress,
-    run_jobs,
-)
-from .mapreduce import MapReduceSpec
-from .faults import FaultPlan, InjectedTransientError, corrupt_cache_entry, \
-    truncate_journal
-from .grid import build_matrix, expand_grid
-from .hashing import canonical_json, content_hash
-from .journal import JournalRecord, RunJournal
-from .spec import ExperimentSpec, JobSpec, function_reference
+from .. import _lazy
 
-__all__ = [
-    "JobSpec",
-    "ExperimentSpec",
-    "function_reference",
-    "canonical_json",
-    "content_hash",
-    "expand_grid",
-    "build_matrix",
-    "run_jobs",
-    "JobOutcome",
-    "MatrixResult",
-    "MapReduceSpec",
-    "RetryPolicy",
-    "print_progress",
-    "ResultCache",
-    "CacheEntryInfo",
-    "default_cache_dir",
-    "RunJournal",
-    "JournalRecord",
-    "FaultPlan",
-    "InjectedTransientError",
-    "corrupt_cache_entry",
-    "truncate_journal",
-]
+_EXPORTS = {
+    "JobSpec": ".spec",
+    "ExperimentSpec": ".spec",
+    "function_reference": ".spec",
+    "canonical_json": ".hashing",
+    "content_hash": ".hashing",
+    "expand_grid": ".grid",
+    "build_matrix": ".grid",
+    "run_jobs": ".executor",
+    "JobOutcome": ".executor",
+    "MatrixResult": ".executor",
+    "MapReduceSpec": ".mapreduce",
+    "RetryPolicy": ".executor",
+    "print_progress": ".executor",
+    "ResultCache": ".cache",
+    "CacheEntryInfo": ".cache",
+    "default_cache_dir": ".cache",
+    "RunJournal": ".journal",
+    "JournalRecord": ".journal",
+    "FaultPlan": ".faults",
+    "InjectedTransientError": ".faults",
+    "corrupt_cache_entry": ".faults",
+    "truncate_journal": ".faults",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

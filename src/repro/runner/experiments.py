@@ -14,19 +14,9 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..characteristics import verify_theorem1, verify_theorem1_batch
 from ..config import GridParameters, SystemParameters, TimeParameters
 from ..control.jrj import jrj_from_parameters
-from ..crossval import cross_validate
-from ..delay.delayed_model import DelayedSystem
-from ..design import default_axes, score_gain_grid, solve_stationary
-from ..delay.oscillation import measure_oscillation
 from ..exceptions import ConfigurationError
-from ..multisource import MultiSourceModel, fairness_report
-from ..queueing import MultiHopSimulator, Simulator
-from ..queueing.multihop import parking_lot_scenario
-from ..queueing.scenarios import get_scenario
-from ..workloads.scenarios import homogeneous_sources_scenario
 from .grid import build_matrix
 from .spec import JobSpec
 
@@ -51,6 +41,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Job callables.  Keep them module-level and keyword-friendly: the runner
 # addresses them by ``module:qualname`` and hashes their keyword overrides.
+# Each imports its own stack in its body, so building a matrix or serving
+# it from the cache loads none of the solvers it does not run.
 # ---------------------------------------------------------------------------
 
 def _with_health(value: dict, log) -> dict:
@@ -68,6 +60,8 @@ def theorem1_point(params: SystemParameters,
     ``t_end=None`` lets :func:`~repro.characteristics.verify_theorem1` pick
     its parameter-scaled default horizon.
     """
+    from ..characteristics.theorem1 import verify_theorem1
+
     verification = verify_theorem1(params, t_end=t_end)
     return {
         "converges": bool(verification.converges),
@@ -94,6 +88,8 @@ def theorem1_batch_point(params: SystemParameters,
     in-tree ``theorem1-grid`` chunks are single-``c0``, where the shared
     default equals the scalar one).
     """
+    from ..characteristics.theorem1 import verify_theorem1_batch
+
     c0_list = [params.c0] if c0_values is None else [float(v)
                                                     for v in c0_values]
     c1_list = [params.c1] if c1_values is None else [float(v)
@@ -161,6 +157,9 @@ def density_point(params: SystemParameters, t_end: float = 60.0,
 def delay_point(params: SystemParameters, delay: float,
                 t_end: float = 600.0, dt: float = 0.02) -> dict:
     """Integrate the delayed system and summarise its oscillation."""
+    from ..delay.delayed_model import DelayedSystem
+    from ..delay.oscillation import measure_oscillation
+
     control = jrj_from_parameters(params)
     system = DelayedSystem(control, params, delay=float(delay))
     trajectory = system.solve(q0=0.0, rate0=0.5 * params.mu, t_end=t_end,
@@ -210,6 +209,9 @@ def ensemble_point(params: SystemParameters, seed: int, t_end: float = 60.0,
 def fairness_point(params: SystemParameters, n_sources: int = 4,
                    t_end: float = 700.0) -> dict:
     """Multi-source fairness metrics for *n_sources* identical sources."""
+    from ..multisource import MultiSourceModel, fairness_report
+    from ..workloads.scenarios import homogeneous_sources_scenario
+
     scenario_params, sources = homogeneous_sources_scenario(
         n_sources=n_sources, mu=params.mu, q_target=params.q_target,
         c0=params.c0, c1=params.c1)
@@ -226,6 +228,8 @@ def fairness_point(params: SystemParameters, n_sources: int = 4,
 def multihop_point(extra_hops: int = 2, duration: float = 300.0,
                    service_rate: float = 10.0, health: str = "") -> dict:
     """Parking-lot multihop unfairness metrics (no continuous parameters)."""
+    from ..queueing.multihop import MultiHopSimulator, parking_lot_scenario
+
     config = parking_lot_scenario(n_extra_hops=extra_hops,
                                   service_rate=service_rate)
     result = MultiHopSimulator(config, health=health).run(duration=duration)
@@ -257,6 +261,10 @@ def des_scenario_point(scenario: str, duration: float = 120.0,
     numerical health policy for the run; non-empty report logs ride in
     the value under ``"health"``.
     """
+    from ..queueing.multihop import MultiHopSimulator
+    from ..queueing.scenarios import get_scenario
+    from ..queueing.simulator import Simulator
+
     spec = get_scenario(scenario)
     if seed is not None:
         scenario_kwargs["seed"] = int(seed)
@@ -299,6 +307,8 @@ def stationary_point(params: SystemParameters, nq: int = 48, nv: int = 36,
                      backend: Optional[str] = None,
                      delay: float = 0.0) -> dict:
     """Solve the stationary Fokker-Planck density directly; report moments."""
+    from ..design import solve_stationary
+
     grid = GridParameters(q_max=q_max, nq=nq, v_min=-v_span, v_max=v_span,
                           nv=nv)
     density = solve_stationary(params, grid_params=grid, dt=dt, method=method,
@@ -332,6 +342,8 @@ def design_chunk_point(params: SystemParameters,
     :func:`~repro.design.objectives.score_gain_grid`; the ``design-gain-grid``
     matrix fans one job per ``(q_target, mu)`` pair.
     """
+    from ..design import score_gain_grid
+
     c0_list = [params.c0] if c0_values is None else [float(v)
                                                     for v in c0_values]
     c1_list = [params.c1] if c1_values is None else [float(v)
@@ -371,6 +383,8 @@ def crossval_point(params: SystemParameters, n_sources: int = 1,
                    nq: int = 100, nv: int = 70,
                    seed: int = 11) -> dict:
     """DES-vs-FP cross-validation metrics for one matched configuration."""
+    from ..crossval import cross_validate
+
     report = cross_validate(params, n_sources=n_sources, duration=duration,
                             t_end=t_end, nq=nq, nv=nv, seed=int(seed))
     return report.to_dict()
@@ -548,6 +562,8 @@ def _design_gain_grid(params: SystemParameters, seed: Optional[int],
     # One batched job per (q_target, mu) operating point; each job scores
     # its whole c0 x c1 gain chunk in a single vectorized characteristic
     # run.  Override values are tuples so the frozen JobSpec stays hashable.
+    from ..design import default_axes
+
     axes = default_axes(params, n_c0=10, n_c1=10, n_q_target=4, n_mu=4)
     c0_values = tuple(float(value) for value in axes["c0_values"])
     c1_values = tuple(float(value) for value in axes["c1_values"])

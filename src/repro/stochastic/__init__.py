@@ -13,18 +13,15 @@ feedback delay, giving a reference solution for the delayed-FP
 approximation.
 """
 
-from .langevin import LangevinModel
-from .ensemble import (
-    EnsembleResult,
-    compare_with_density,
-    run_ensemble,
-    shard_sizes,
-)
+from .. import _lazy
 
-__all__ = [
-    "LangevinModel",
-    "EnsembleResult",
-    "run_ensemble",
-    "shard_sizes",
-    "compare_with_density",
-]
+_EXPORTS = {
+    "LangevinModel": ".langevin",
+    "EnsembleResult": ".ensemble",
+    "run_ensemble": ".ensemble",
+    "shard_sizes": ".ensemble",
+    "compare_with_density": ".ensemble",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -10,45 +10,27 @@ The registered network topologies of :mod:`repro.queueing.scenarios`
 be composed from one namespace.
 """
 
-from ..queueing.scenarios import (
-    available_scenarios,
-    build_scenario,
-    chain_scenario,
-    dumbbell_scenario,
-    random_mesh_scenario,
-)
-from .scenarios import (
-    single_source_scenario,
-    homogeneous_sources_scenario,
-    heterogeneous_parameters_scenario,
-    heterogeneous_delay_scenario,
-    packet_level_jrj_scenario,
-    packet_level_window_scenario,
-)
-from .sweep import GridSweep, run_grid
-from .traffic import (
-    OnOffArrivals,
-    PoissonArrivals,
-    estimate_sigma_from_counts,
-    sigma_for_poisson,
-)
+from .. import _lazy
 
-__all__ = [
-    "PoissonArrivals",
-    "OnOffArrivals",
-    "estimate_sigma_from_counts",
-    "sigma_for_poisson",
-    "single_source_scenario",
-    "homogeneous_sources_scenario",
-    "heterogeneous_parameters_scenario",
-    "heterogeneous_delay_scenario",
-    "packet_level_jrj_scenario",
-    "packet_level_window_scenario",
-    "available_scenarios",
-    "build_scenario",
-    "chain_scenario",
-    "dumbbell_scenario",
-    "random_mesh_scenario",
-    "GridSweep",
-    "run_grid",
-]
+_EXPORTS = {
+    "PoissonArrivals": ".traffic",
+    "OnOffArrivals": ".traffic",
+    "estimate_sigma_from_counts": ".traffic",
+    "sigma_for_poisson": ".traffic",
+    "single_source_scenario": ".scenarios",
+    "homogeneous_sources_scenario": ".scenarios",
+    "heterogeneous_parameters_scenario": ".scenarios",
+    "heterogeneous_delay_scenario": ".scenarios",
+    "packet_level_jrj_scenario": ".scenarios",
+    "packet_level_window_scenario": ".scenarios",
+    "available_scenarios": "..queueing.scenarios",
+    "build_scenario": "..queueing.scenarios",
+    "chain_scenario": "..queueing.scenarios",
+    "dumbbell_scenario": "..queueing.scenarios",
+    "random_mesh_scenario": "..queueing.scenarios",
+    "GridSweep": ".sweep",
+    "run_grid": ".sweep",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

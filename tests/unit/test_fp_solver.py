@@ -10,6 +10,8 @@ from repro import (
     JRJControl,
     SystemParameters,
     TimeParameters,
+    assemble_generator,
+    solve_stationary,
 )
 from repro.core.steady_state import estimate_steady_state, relaxation_time
 from repro.exceptions import AnalysisError, ConfigurationError, StabilityError
@@ -115,6 +117,15 @@ class TestFokkerPlanckSolver:
         # A finite buffer that absorbs at q_max is a model, not a mistake.
         FokkerPlanckSolver(params, jrj_control, grid_params=grid_params,
                            boundary=BoundaryConditions(absorb_q_max=True))
+        # The stationary path has no absorbing option: it must refuse the
+        # grid before factorizing, not fail to converge after.
+        with pytest.raises(ConfigurationError, match="q_target"):
+            assemble_generator(params, grid_params=grid_params)
+        for method in ("generator", "splitting"):
+            for backend in ("numpy", "scipy"):
+                with pytest.raises(ConfigurationError, match="q_target"):
+                    solve_stationary(params, grid_params=grid_params,
+                                     method=method, backend=backend)
 
     def test_mean_rate_series(self, solver, short_time_params):
         result = solver.solve_from_point(2.0, 0.6, short_time_params)
