@@ -71,6 +71,7 @@ from .runner import (
     RunJournal,
     content_hash,
     default_cache_dir,
+    outcome_status,
     print_progress,
     run_jobs,
 )
@@ -564,9 +565,7 @@ def _run_run(args: argparse.Namespace) -> int:
 
     rows = []
     for outcome in result:
-        row = {"job": outcome.spec.label,
-               "status": "cached" if outcome.from_cache
-               else ("ok" if outcome.ok else "FAILED")}
+        row = {"job": outcome.spec.label, "status": outcome_status(outcome)}
         if outcome.ok and isinstance(outcome.value, dict):
             row.update({name: value for name, value in outcome.value.items()
                         if isinstance(value, (int, float, bool))})
@@ -709,7 +708,7 @@ def _run_health(args: argparse.Namespace) -> int:
 
     if not os.path.exists(args.journal):
         raise ConfigurationError(f"no journal at {args.journal!r}")
-    journal = RunJournal(args.journal, fsync=False)
+    journal = RunJournal(args.journal)
     try:
         records = journal.replay()
     finally:

@@ -14,8 +14,10 @@ parallelism, deterministic seeding and on-disk result reuse:
   deterministic backoff (:class:`RetryPolicy`), per-job timeouts, pool
   respawn on worker death, and progress reporting;
 * :mod:`repro.runner.cache` -- :class:`ResultCache`, the content-addressed
-  JSON + npz (+ pickle fallback) store under ``~/.cache/repro`` with
-  fsync'd atomic writes and a ``corrupt/`` quarantine;
+  store under ``~/.cache/repro`` (one fsync'd, atomically renamed JSON
+  file per entry, with a ``corrupt/`` quarantine), and the value codec
+  (:func:`~repro.runner.cache.encode_value`: JSON with base64 arrays,
+  pickle fallback) shared with the journal;
 * :mod:`repro.runner.journal` -- :class:`RunJournal`, the crash-safe
   append-only outcome journal behind checkpoint/resume
   (``run_jobs(..., journal=...)`` / ``repro run --resume``);
@@ -59,6 +61,7 @@ _EXPORTS = {
     "MatrixResult": ".executor",
     "MapReduceSpec": ".mapreduce",
     "RetryPolicy": ".executor",
+    "outcome_status": ".executor",
     "print_progress": ".executor",
     "ResultCache": ".cache",
     "CacheEntryInfo": ".cache",

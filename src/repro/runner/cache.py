@@ -1,28 +1,30 @@
-"""Content-addressed on-disk result cache.
+"""Content-addressed on-disk result cache and the runner's value codec.
 
 Layout (under ``~/.cache/repro`` by default, overridable with the
 ``REPRO_CACHE_DIR`` environment variable or an explicit ``--cache-dir``)::
 
-    <root>/objects/<key[:2]>/<key>/
-        meta.json      -- fingerprint, label, encoding, creation time
-        result.json    -- JSON-encodable results (possibly with array refs)
-        arrays.npz     -- numpy arrays referenced from result.json
-        result.pkl     -- pickle fallback for arbitrary Python results
+    <root>/objects/<key[:2]>/<key>.json
+
+One JSON file per entry holds the metadata (format, key, creation time,
+label, function, seed, duration) and the value, encoded by
+:func:`encode_value` -- the same codec the campaign journal writes, so a
+job value has one on-disk form wherever it is persisted.
 
 ``<key>`` is the SHA-256 content hash of the job fingerprint
 (:meth:`repro.runner.JobSpec.key`), so a cache entry is valid for exactly
-one logical computation.  Writes are crash-safe: every artifact is
-written into a staging directory, flushed and ``fsync``'d, then published
-with a single atomic rename.  Reads are defensive: any malformed entry --
-truncated JSON, missing artifact, undecodable pickle -- is treated as a
-miss and moved to a ``corrupt/`` quarantine (inspectable via ``repro
-cache info``), so a corrupted cache degrades to recomputation rather
-than to an error while preserving the evidence.
+one logical computation.  Writes are crash-safe: the entry is written to
+a temporary file in the same directory, ``fsync``'d, then published with
+one atomic ``os.replace`` (two processes storing the same key simply
+replace each other's identical bytes).  Reads are defensive: any
+malformed entry -- truncated JSON, wrong format or key, undecodable
+payload -- is treated as a miss and moved to a ``corrupt/`` quarantine
+(inspectable via ``repro cache info``), so a corrupted cache degrades to
+recomputation rather than to an error while preserving the evidence.
 """
 
 from __future__ import annotations
 
-import io
+import base64
 import json
 import os
 import pickle
@@ -34,15 +36,11 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["ResultCache", "default_cache_dir", "CacheEntryInfo"]
+__all__ = ["ResultCache", "default_cache_dir", "CacheEntryInfo",
+           "encode_value", "decode_value"]
 
-_META_NAME = "meta.json"
-_JSON_NAME = "result.json"
-_NPZ_NAME = "arrays.npz"
-_PICKLE_NAME = "result.pkl"
-
-#: Bump when the on-disk format changes; mismatched entries read as misses.
-_FORMAT_VERSION = 1
+#: Bump when the entry format changes; mismatched entries read as misses.
+_FORMAT_VERSION = 2
 
 
 def default_cache_dir() -> Path:
@@ -55,28 +53,30 @@ def default_cache_dir() -> Path:
     return base / "repro"
 
 
+# ---------------------------------------------------------------------------
+# Value codec: JSON with base64-embedded arrays, pickle fallback.
+# ---------------------------------------------------------------------------
+
 class _Unencodable(Exception):
-    """Internal: the value cannot use the JSON(+npz) encoding."""
+    """Internal: the value cannot use the JSON encoding."""
 
 
-def _fsync_handle(handle) -> None:
-    """Flush *handle* and force its bytes to stable storage."""
-    handle.flush()
-    os.fsync(handle.fileno())
+def _encode_array(array: np.ndarray) -> Dict[str, Any]:
+    if array.dtype.hasobject or np.dtype(array.dtype.str) != array.dtype:
+        # Objects have no raw bytes, and a structured dtype's ``str`` is a
+        # bare ``|V<n>`` that would lose its fields: both pickle.
+        raise _Unencodable(f"dtype {array.dtype}")
+    return {
+        "dtype": array.dtype.str,
+        "shape": list(array.shape),
+        "data": base64.b64encode(array.tobytes()).decode("ascii"),  # C order
+    }
 
 
-def _fsync_dir(path: Path) -> None:
-    """Best-effort fsync of a directory (persists renames within it)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
+def _decode_array(payload: Dict[str, Any]) -> np.ndarray:
+    raw = base64.b64decode(payload["data"])
+    return np.frombuffer(raw, dtype=np.dtype(payload["dtype"])) \
+        .reshape(payload["shape"]).copy()
 
 
 def _encode_jsonable(value: Any, arrays: Dict[str, np.ndarray]) -> Any:
@@ -124,6 +124,63 @@ def _decode_jsonable(value: Any, arrays: Dict[str, np.ndarray]) -> Any:
     return value
 
 
+def encode_value(value: Any) -> Dict[str, Any]:
+    """Encode *value* into a JSON-able ``{"encoding": ..., ...}`` payload."""
+    arrays: Dict[str, np.ndarray] = {}
+    try:
+        jsonable = _encode_jsonable(value, arrays)
+        encoded_arrays = {token: _encode_array(array)
+                          for token, array in arrays.items()}
+    except _Unencodable:
+        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        return {"encoding": "pickle",
+                "data": base64.b64encode(blob).decode("ascii")}
+    return {"encoding": "json", "json": jsonable, "arrays": encoded_arrays}
+
+
+def decode_value(payload: Dict[str, Any]) -> Any:
+    """Invert :func:`encode_value`, bit-identically."""
+    encoding = payload.get("encoding")
+    if encoding == "pickle":
+        return pickle.loads(base64.b64decode(payload["data"]))
+    if encoding == "json":
+        arrays = {token: _decode_array(spec)
+                  for token, spec in payload.get("arrays", {}).items()}
+        return _decode_jsonable(payload.get("json"), arrays)
+    raise ValueError(f"unknown value encoding {encoding!r}")
+
+
+# ---------------------------------------------------------------------------
+# The cache.
+# ---------------------------------------------------------------------------
+
+def _fsync_dir(path: Path) -> None:
+    """Best-effort fsync of a directory (persists renames within it)."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def _discard(path: Path) -> None:
+    """Delete a file, or a directory tree (a format-1 entry)."""
+    if path.is_dir():
+        shutil.rmtree(path, ignore_errors=True)
+    else:
+        path.unlink(missing_ok=True)
+
+
+def _read_entry(path: Path) -> Dict[str, Any]:
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 @dataclass(frozen=True)
 class CacheEntryInfo:
     """Metadata summary of one cache entry (for ``repro cache list``)."""
@@ -144,103 +201,56 @@ class ResultCache:
             else default_cache_dir()
         self._objects = self.root / "objects"
 
-    # -- paths -------------------------------------------------------------
-
-    def _entry_dir(self, key: str) -> Path:
-        return self._objects / key[:2] / key
+    def _entry_path(self, key: str) -> Path:
+        return self._objects / key[:2] / f"{key}.json"
 
     def __contains__(self, key: str) -> bool:
-        return (self._entry_dir(key) / _META_NAME).is_file()
+        return self._entry_path(key).is_file()
 
     # -- write -------------------------------------------------------------
 
     def put(self, key: str, value: Any,
             meta: Optional[Dict[str, Any]] = None) -> None:
         """Store *value* under *key*, atomically replacing any entry."""
-        entry = self._entry_dir(key)
-        staging = entry.with_name(entry.name + f".tmp{os.getpid()}")
-        if staging.exists():
-            shutil.rmtree(staging)
-        staging.mkdir(parents=True)
-
-        arrays: Dict[str, np.ndarray] = {}
+        path = self._entry_path(key)
+        entry = {"format": _FORMAT_VERSION, "key": key,
+                 "created": time.time()}
+        entry.update(meta or {})
+        entry["value"] = encode_value(value)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # A private temporary name per writer: concurrent puts of one key
+        # never share a file, and the last rename simply wins.
+        temp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
         try:
-            jsonable = _encode_jsonable(value, arrays)
-        except _Unencodable:
-            encoding = "pickle"
-            with open(staging / _PICKLE_NAME, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                _fsync_handle(handle)
-        else:
-            encoding = "json+npz" if arrays else "json"
-            with open(staging / _JSON_NAME, "w", encoding="utf-8") as handle:
-                json.dump(jsonable, handle)
-                _fsync_handle(handle)
-            if arrays:
-                buffer = io.BytesIO()
-                np.savez_compressed(buffer, **arrays)
-                with open(staging / _NPZ_NAME, "wb") as handle:
-                    handle.write(buffer.getvalue())
-                    _fsync_handle(handle)
-
-        metadata = {
-            "format": _FORMAT_VERSION,
-            "key": key,
-            "encoding": encoding,
-            "created": time.time(),
-        }
-        metadata.update(meta or {})
-        with open(staging / _META_NAME, "w", encoding="utf-8") as handle:
-            json.dump(metadata, handle, indent=1, default=str)
-            _fsync_handle(handle)
-
-        if entry.exists():
-            shutil.rmtree(entry)
-        try:
-            os.replace(staging, entry)
-        except OSError:
-            # Another process published this key between our rmtree and
-            # replace; content-addressing makes the entries interchangeable,
-            # so the first writer wins and our staging copy is discarded.
-            shutil.rmtree(staging, ignore_errors=True)
-            if not (entry / _META_NAME).is_file():
-                raise
+            with open(temp, "x", encoding="utf-8") as handle:
+                json.dump(entry, handle, default=str)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
         # A crash after the rename must not lose the rename itself.
-        _fsync_dir(entry.parent)
+        _fsync_dir(path.parent)
 
     # -- read --------------------------------------------------------------
 
     def get(self, key: str) -> Tuple[bool, Any]:
         """Return ``(hit, value)``; malformed entries are quarantined as misses."""
-        entry = self._entry_dir(key)
-        meta_path = entry / _META_NAME
-        if not meta_path.is_file():
+        path = self._entry_path(key)
+        if not path.is_file():
             return False, None
         try:
-            with open(meta_path, "r", encoding="utf-8") as handle:
-                metadata = json.load(handle)
-            if metadata.get("format") != _FORMAT_VERSION \
-                    or metadata.get("key") != key:
-                raise ValueError("cache entry metadata mismatch")
-            encoding = metadata.get("encoding")
-            if encoding == "pickle":
-                with open(entry / _PICKLE_NAME, "rb") as handle:
-                    return True, pickle.load(handle)
-            if encoding in ("json", "json+npz"):
-                with open(entry / _JSON_NAME, "r", encoding="utf-8") as handle:
-                    jsonable = json.load(handle)
-                arrays: Dict[str, np.ndarray] = {}
-                if encoding == "json+npz":
-                    with np.load(entry / _NPZ_NAME) as archive:
-                        arrays = {name: archive[name]
-                                  for name in archive.files}
-                return True, _decode_jsonable(jsonable, arrays)
-            raise ValueError(f"unknown cache encoding {encoding!r}")
+            entry = _read_entry(path)
+            if entry.get("format") != _FORMAT_VERSION \
+                    or entry.get("key") != key:
+                raise ValueError("cache entry format or key mismatch")
+            return True, decode_value(entry["value"])
         except Exception:
             # Corrupted or unreadable entry: quarantine it and report a
             # miss, so the caller recomputes instead of failing and the
             # damaged bytes stay inspectable under ``corrupt/``.
-            self._quarantine(entry)
+            self._quarantine(path)
             return False, None
 
     # -- quarantine --------------------------------------------------------
@@ -250,81 +260,74 @@ class ResultCache:
         """Where corrupted entries are parked (``<root>/corrupt``)."""
         return self.root / "corrupt"
 
-    def _quarantine(self, entry: Path) -> None:
-        target = self.quarantine_dir / entry.name
+    def _quarantine(self, path: Path) -> None:
         try:
             self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            if target.exists():
-                shutil.rmtree(target, ignore_errors=True)
-            os.replace(entry, target)
+            os.replace(path, self.quarantine_dir / path.name)
         except OSError:
             # Quarantine is best-effort; never let it block the miss path.
-            shutil.rmtree(entry, ignore_errors=True)
+            path.unlink(missing_ok=True)
 
     def quarantined_count(self) -> int:
         """Number of corrupted entries parked under ``corrupt/``."""
         if not self.quarantine_dir.is_dir():
             return 0
-        return sum(1 for child in self.quarantine_dir.iterdir()
-                   if child.is_dir())
+        return sum(1 for _ in self.quarantine_dir.iterdir())
 
     def clear_quarantine(self) -> int:
         """Delete the quarantined entries; returns how many were removed."""
         removed = 0
         if self.quarantine_dir.is_dir():
             for child in list(self.quarantine_dir.iterdir()):
-                shutil.rmtree(child, ignore_errors=True)
+                _discard(child)
                 removed += 1
         return removed
 
     # -- maintenance -------------------------------------------------------
 
-    def _iter_entry_dirs(self) -> Iterator[Path]:
+    def _iter_entries(self) -> Iterator[Path]:
+        """Every entry file, plus any unreadable format-1 entry directory.
+
+        Temporary files of in-flight writes are skipped.
+        """
         if not self._objects.is_dir():
             return
         for shard in sorted(self._objects.iterdir()):
-            if not shard.is_dir():
-                continue
-            for entry in sorted(shard.iterdir()):
-                if entry.is_dir() and ".tmp" not in entry.name:
-                    yield entry
+            if shard.is_dir():
+                for path in sorted(shard.iterdir()):
+                    if path.suffix != ".tmp":
+                        yield path
 
     def entries(self) -> List[CacheEntryInfo]:
         """Metadata for every readable entry (unreadable ones are skipped)."""
         found = []
-        for entry in self._iter_entry_dirs():
+        for path in self._iter_entries():
             try:
-                with open(entry / _META_NAME, "r", encoding="utf-8") as handle:
-                    metadata = json.load(handle)
-                size = sum(child.stat().st_size
-                           for child in entry.iterdir() if child.is_file())
+                entry = _read_entry(path)
                 found.append(CacheEntryInfo(
-                    key=metadata.get("key", entry.name),
-                    label=str(metadata.get("label", "")),
-                    function=str(metadata.get("function", "")),
-                    encoding=str(metadata.get("encoding", "")),
-                    created=float(metadata.get("created", 0.0)),
-                    size_bytes=size))
+                    key=entry.get("key", path.stem),
+                    label=str(entry.get("label", "")),
+                    function=str(entry.get("function", "")),
+                    encoding=str(entry["value"].get("encoding", "")),
+                    created=float(entry.get("created", 0.0)),
+                    size_bytes=path.stat().st_size))
             except Exception:
                 continue
         return found
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._iter_entry_dirs())
+        return sum(1 for _ in self._iter_entries())
 
     def size_bytes(self) -> int:
-        """Total size of all cache artifacts in bytes."""
-        total = 0
-        for entry in self._iter_entry_dirs():
-            total += sum(child.stat().st_size
-                         for child in entry.iterdir() if child.is_file())
-        return total
+        """Total size of all cache entries in bytes."""
+        return sum(path.stat().st_size for path in self._iter_entries()
+                   if path.is_file())
 
     def clear(self) -> int:
         """Delete every entry (quarantine included); returns the count."""
         removed = 0
-        for entry in list(self._iter_entry_dirs()):
-            shutil.rmtree(entry, ignore_errors=True)
+        for path in list(self._iter_entries()):
+            _discard(path)
             removed += 1
         return removed + self.clear_quarantine()
 
@@ -339,14 +342,12 @@ class ResultCache:
         cutoff = (time.time() if now is None else float(now)) \
             - float(older_than_seconds)
         removed = 0
-        for entry in list(self._iter_entry_dirs()):
+        for path in list(self._iter_entries()):
             try:
-                with open(entry / _META_NAME, "r",
-                          encoding="utf-8") as handle:
-                    created = float(json.load(handle).get("created", 0.0))
+                created = float(_read_entry(path).get("created", 0.0))
             except Exception:
                 created = float("-inf")
             if created < cutoff:
-                shutil.rmtree(entry, ignore_errors=True)
+                _discard(path)
                 removed += 1
         return removed

@@ -55,7 +55,7 @@ from .mapreduce import MapReduceSpec, SubmissionOrderReducer, coerce_reduce_spec
 from .spec import JobSpec
 
 __all__ = ["JobOutcome", "MatrixResult", "MapReduceSpec", "RetryPolicy",
-           "run_jobs", "print_progress"]
+           "run_jobs", "outcome_status", "print_progress"]
 
 ProgressCallback = Callable[[int, int, "JobOutcome"], None]
 
@@ -202,19 +202,23 @@ def _last_line(error: Optional[str]) -> str:
     return lines[-1] if lines else "<no error detail>"
 
 
+def outcome_status(outcome: JobOutcome) -> str:
+    """How a job finished: cached, journaled, ok (after N attempts), FAILED."""
+    if outcome.from_cache:
+        return "cached"
+    if outcome.from_journal:
+        return "journaled"
+    if outcome.ok:
+        return "ok" if outcome.attempts == 1 \
+            else f"ok after {outcome.attempts} attempts"
+    return "FAILED"
+
+
 def print_progress(done: int, total: int, outcome: JobOutcome) -> None:
     """Default progress reporter: one stderr line per finished job."""
-    if outcome.from_cache:
-        status = "cached"
-    elif outcome.from_journal:
-        status = "journaled"
-    elif outcome.ok:
-        status = "ok" if outcome.attempts == 1 \
-            else f"ok after {outcome.attempts} attempts"
-    else:
-        status = "FAILED"
-    print(f"[runner] {done}/{total} {outcome.spec.label}: {status} "
-          f"({outcome.duration:.2f}s)", file=sys.stderr, flush=True)
+    print(f"[runner] {done}/{total} {outcome.spec.label}: "
+          f"{outcome_status(outcome)} ({outcome.duration:.2f}s)",
+          file=sys.stderr, flush=True)
 
 
 def _execute_job(spec: JobSpec, attempt: int = 0, faults=None):

@@ -2,8 +2,8 @@
 
 Every function here is a picklable, importable job callable: it takes a
 :class:`~repro.config.SystemParameters` first, keyword overrides after,
-and returns a JSON-friendly dictionary of headline metrics (so cached
-results live in plain ``result.json`` files).  The registry at the bottom
+and returns a JSON-friendly dictionary of headline metrics (so cache
+entries and journal lines hold plain JSON).  The registry at the bottom
 maps matrix names (``repro run <name>``) to builders producing a job list.
 """
 

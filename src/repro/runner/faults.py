@@ -233,24 +233,15 @@ class FaultPlan:
 # ---------------------------------------------------------------------------
 
 def corrupt_cache_entry(cache, key: str) -> bool:
-    """Overwrite the payload of cache entry *key* with garbage bytes.
+    """Overwrite cache entry *key* with garbage bytes.
 
     Simulates a torn write (power loss mid-write, bit rot).  Returns
     ``True`` when an entry existed and was damaged.
     """
-    entry = cache._entry_dir(key)
-    if not entry.is_dir():
+    if key not in cache:
         return False
-    damaged = False
-    for child in sorted(entry.iterdir()):
-        if child.is_file() and child.name != "meta.json":
-            child.write_bytes(b"\x00corrupt\x00")
-            damaged = True
-    if not damaged:
-        # Entry with metadata only: damage the metadata itself.
-        (entry / "meta.json").write_text("{torn", encoding="utf-8")
-        damaged = True
-    return damaged
+    cache._entry_path(key).write_bytes(b"\x00corrupt\x00")
+    return True
 
 
 def truncate_journal(path, drop_bytes: int = 1) -> int:

@@ -13,87 +13,39 @@ Design points:
 * **Append-only, atomic records.**  Each record is a single
   newline-terminated line, flushed and ``fsync``'d before the append
   returns, so at most the final line can ever be damaged.
-* **Truncated-tail recovery.**  Opening a journal scans it line by line;
-  a partial or malformed trailing line (the signature of a crash mid
-  append) is dropped and the file is truncated back to the last intact
-  record, so the journal self-heals instead of poisoning the resume.
+* **Truncated-tail recovery.**  Replay scans the journal line by line
+  and ignores a partial or malformed trailing line (the signature of a
+  crash mid append), so a torn tail never poisons the resume.  Replay
+  only reads; the first append truncates the file back to the last
+  intact record, so a writer heals the journal and a reader (``repro
+  health`` on a live campaign's journal) never changes it.
 * **Order-insensitive replay.**  Replay folds records into a key-indexed
   map in which any success for a key wins over any failure for the same
   key.  Because the runner's jobs are deterministic, all successes for a
   key carry bit-identical values, so replay is invariant under arbitrary
   permutation of the journal's lines -- pinned by a property test.
-* **Bit-exact values.**  Values are stored with the cache's JSON codec,
-  with ndarrays embedded as base64 raw bytes (and a pickle+base64
-  fallback for arbitrary objects), so a value served from the journal is
-  bit-identical to the freshly computed one.
+* **Bit-exact values.**  Values are stored with the cache's codec
+  (:func:`repro.runner.cache.encode_value`: JSON with ndarrays embedded
+  as base64 raw bytes, and a pickle+base64 fallback for arbitrary
+  objects), so a value served from the journal is bit-identical to the
+  freshly computed one.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import os
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-import numpy as np
-
 from ..exceptions import ConfigurationError
-from .cache import _decode_jsonable, _encode_jsonable, _Unencodable
+from .cache import decode_value, encode_value
 
-__all__ = ["RunJournal", "JournalRecord", "encode_value", "decode_value"]
+__all__ = ["RunJournal", "JournalRecord"]
 
 #: Bump when the record format changes; mismatched journals refuse replay.
 _FORMAT_VERSION = 1
-
-
-# ---------------------------------------------------------------------------
-# Value codec: cache JSON codec + base64-embedded arrays, pickle fallback.
-# ---------------------------------------------------------------------------
-
-def _encode_array(array: np.ndarray) -> Dict[str, Any]:
-    if array.dtype.hasobject:
-        raise _Unencodable("object-dtype array")
-    contiguous = np.ascontiguousarray(array)
-    return {
-        "dtype": contiguous.dtype.str,
-        "shape": list(contiguous.shape),
-        "data": base64.b64encode(contiguous.tobytes()).decode("ascii"),
-    }
-
-
-def _decode_array(payload: Dict[str, Any]) -> np.ndarray:
-    raw = base64.b64decode(payload["data"])
-    return np.frombuffer(raw, dtype=np.dtype(payload["dtype"])) \
-        .reshape(payload["shape"]).copy()
-
-
-def encode_value(value: Any) -> Dict[str, Any]:
-    """Encode *value* into a JSON-able ``{"encoding": ..., ...}`` payload."""
-    arrays: Dict[str, np.ndarray] = {}
-    try:
-        jsonable = _encode_jsonable(value, arrays)
-        encoded_arrays = {token: _encode_array(array)
-                          for token, array in arrays.items()}
-    except _Unencodable:
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        return {"encoding": "pickle",
-                "data": base64.b64encode(blob).decode("ascii")}
-    return {"encoding": "json", "json": jsonable, "arrays": encoded_arrays}
-
-
-def decode_value(payload: Dict[str, Any]) -> Any:
-    """Invert :func:`encode_value`, bit-identically."""
-    encoding = payload.get("encoding")
-    if encoding == "pickle":
-        return pickle.loads(base64.b64decode(payload["data"]))
-    if encoding == "json":
-        arrays = {token: _decode_array(spec)
-                  for token, spec in payload.get("arrays", {}).items()}
-        return _decode_jsonable(payload.get("json"), arrays)
-    raise ValueError(f"unknown journal value encoding {encoding!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,30 +72,28 @@ class RunJournal:
     ----------
     path:
         Journal file location (created, with parents, on first append).
-    fsync:
-        Force each record to stable storage before the append returns
-        (default).  Tests may disable it for speed; production campaigns
-        should not.
+        Every record is ``fsync``'d before the append returns.
     """
 
-    def __init__(self, path: os.PathLike, fsync: bool = True):
+    def __init__(self, path: os.PathLike):
         self.path = Path(path).expanduser()
-        self._fsync = bool(fsync)
         self._handle = None
         self._replayed: Optional[Dict[str, JournalRecord]] = None
+        self._torn_at: Optional[int] = None  # intact length of a torn file
 
     # -- replay ------------------------------------------------------------
 
     def replay(self) -> Dict[str, JournalRecord]:
         """Fold the journal into a ``key -> record`` map (success wins).
 
-        Scans the file line by line, dropping a damaged tail, and caches
-        the result; the cache is updated incrementally by :meth:`record`,
-        so replay-then-append round trips stay consistent.
+        Scans the file line by line, ignoring a damaged tail, and caches
+        the result; the file is never modified.  The cached map is updated
+        incrementally by :meth:`record`, so replay-then-append round trips
+        stay consistent.
         """
         if self._replayed is None:
             self._replayed = {}
-            self._recover()
+            self._scan()
         return dict(self._replayed)
 
     def successes(self) -> Dict[str, JournalRecord]:
@@ -156,8 +106,8 @@ class RunJournal:
         if existing is None or (record.ok and not existing.ok):
             self._replayed[record.key] = record
 
-    def _recover(self) -> None:
-        """Scan the file, fold intact records, truncate a damaged tail."""
+    def _scan(self) -> None:
+        """Fold the intact records; remember where a damaged tail starts."""
         if not self.path.is_file():
             return
         good_end = 0
@@ -174,8 +124,7 @@ class RunJournal:
                 if record is not None:
                     self._fold(record)
         if good_end < self.path.stat().st_size:
-            with open(self.path, "rb+") as handle:
-                handle.truncate(good_end)
+            self._torn_at = good_end
 
     def _record_from(self, payload: Dict[str, Any]) \
             -> Optional[JournalRecord]:
@@ -203,7 +152,12 @@ class RunJournal:
     def _open(self):
         if self._handle is None:
             if self._replayed is None:
-                self.replay()  # heal a damaged tail before appending
+                self.replay()
+            if self._torn_at is not None:
+                # Heal the damaged tail before appending after it.
+                with open(self.path, "rb+") as handle:
+                    handle.truncate(self._torn_at)
+                self._torn_at = None
             self.path.parent.mkdir(parents=True, exist_ok=True)
             fresh = not self.path.exists()
             self._handle = open(self.path, "a", encoding="utf-8")
@@ -216,8 +170,7 @@ class RunJournal:
         handle.write(json.dumps(payload, separators=(",", ":"),
                                 default=str) + "\n")
         handle.flush()
-        if self._fsync:
-            os.fsync(handle.fileno())
+        os.fsync(handle.fileno())
 
     def record(self, outcome) -> None:
         """Append one finished :class:`~repro.runner.JobOutcome`."""
@@ -253,6 +206,7 @@ class RunJournal:
         """Delete the journal file (a fresh, non-resumed campaign)."""
         self.close()
         self._replayed = None
+        self._torn_at = None
         try:
             self.path.unlink()
         except FileNotFoundError:

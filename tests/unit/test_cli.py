@@ -150,6 +150,20 @@ class TestRunCommand:
         assert [row.split("|")[2:] for row in first_rows] == \
             [row.split("|")[2:] for row in second_rows]
 
+    def test_resume_reports_journaled_jobs(self, capsys, tmp_path):
+        journal = tmp_path / "theorem1.jsonl"
+        args = ["run", "theorem1-grid", "--t-end", "20", "--no-cache",
+                "--journal", str(journal)]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args + ["--resume"]) == 0
+        output = capsys.readouterr().out
+        statuses = [line.split("|")[1].strip()
+                    for line in output.splitlines() if "(batched)" in line]
+        assert statuses == ["journaled"] * 4
+        assert "computed               : 0" in output
+        assert "resumed (journal hits) : 4" in output
+
     def test_cache_list_and_clear(self, capsys, tmp_path):
         # The theorem1 matrix runs as 4 batched chunk jobs (12 grid points).
         run_args = ["run", "theorem1-grid", "--t-end", "150",

@@ -381,11 +381,11 @@ class TestCachePrune:
         now = 1_000_000_000.0
         # Rewrite one entry's creation stamp to look a week stale.
         import json
-        meta = tmp_path / "objects" / "aa" / ("a" * 64) / "meta.json"
+        meta = tmp_path / "objects" / "aa" / ("a" * 64 + ".json")
         data = json.loads(meta.read_text())
         data["created"] = now - 8 * 86400
         meta.write_text(json.dumps(data))
-        other = tmp_path / "objects" / "bb" / ("b" * 64) / "meta.json"
+        other = tmp_path / "objects" / "bb" / ("b" * 64 + ".json")
         data = json.loads(other.read_text())
         data["created"] = now - 3600
         other.write_text(json.dumps(data))
@@ -398,7 +398,7 @@ class TestCachePrune:
     def test_prune_drops_corrupt_metadata(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("c" * 64, {"x": 3})
-        meta = tmp_path / "objects" / "cc" / ("c" * 64) / "meta.json"
+        meta = tmp_path / "objects" / "cc" / ("c" * 64 + ".json")
         meta.write_text("{not json")
         assert cache.prune(86400, now=1_000_000_000.0) == 1
         assert len(cache) == 0

@@ -686,7 +686,7 @@ def _write_journal(path):
     log.record(HealthReport(where="core.solver", invariant="mass", time=2.0,
                             magnitude=1e-6, threshold=1e-8, action="repair",
                             message="drift"))
-    journal = RunJournal(path, fsync=False)
+    journal = RunJournal(path)
     try:
         journal.record(_outcome("k1", "density/healthy",
                                 value={"mean_q": 5.0}))

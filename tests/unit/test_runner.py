@@ -41,6 +41,12 @@ def array_result(n):
     return {"values": np.arange(n, dtype=float), "n": n}
 
 
+def put_repeatedly(root, key, times):
+    cache = ResultCache(root)
+    for _ in range(times):
+        cache.put(key, {"values": np.arange(64.0)})
+
+
 class TestCanonicalHashing:
     def test_key_order_does_not_matter(self):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
@@ -156,7 +162,7 @@ class TestResultCache:
         assert hit
         assert value == {"x": 1.5, "flag": True, "items": [1, 2]}
 
-    def test_array_round_trip_uses_npz(self, tmp_path):
+    def test_array_round_trip_uses_json(self, tmp_path):
         cache = ResultCache(tmp_path)
         stored = {"grid": np.linspace(0, 1, 7), "n": 7,
                   "pair": (np.arange(3), "label")}
@@ -167,7 +173,7 @@ class TestResultCache:
         assert isinstance(value["pair"], tuple)
         np.testing.assert_array_equal(value["pair"][0], np.arange(3))
         entry = cache.entries()[0]
-        assert entry.encoding == "json+npz"
+        assert entry.encoding == "json"
 
     def test_arbitrary_object_falls_back_to_pickle(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -184,6 +190,14 @@ class TestResultCache:
             key = f"{index}{index}" * 32
             cache.put(key, stored)
             assert cache.get(key) == (True, stored)
+        # An object-dtype array has no raw-bytes form: it pickles too.
+        key = "22" * 32
+        cache.put(key, {"obj": np.array([1, "a", None], dtype=object)})
+        hit, value = cache.get(key)
+        assert hit and cache.quarantined_count() == 0
+        assert value["obj"].dtype == object
+        assert value["obj"].tolist() == [1, "a", None]
+        assert len(cache.entries()) == 3
         assert all(entry.encoding == "pickle" for entry in cache.entries())
 
     def test_miss_on_unknown_key(self, tmp_path):
@@ -194,9 +208,9 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = "12" * 32
         cache.put(key, {"x": 1})
-        # Truncate the metadata file to simulate a crashed writer.
-        meta = tmp_path / "objects" / key[:2] / key / "meta.json"
-        meta.write_text("{not json", encoding="utf-8")
+        # Truncate the entry file to simulate a crashed writer.
+        entry = tmp_path / "objects" / key[:2] / f"{key}.json"
+        entry.write_text("{not json", encoding="utf-8")
         hit, value = cache.get(key)
         assert not hit
         assert key not in cache  # the broken entry was purged
@@ -207,9 +221,44 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = "34" * 32
         cache.put(key, {"grid": np.arange(4)})
-        (tmp_path / "objects" / key[:2] / key / "arrays.npz").write_bytes(b"x")
+        # Intact envelope, damaged array payload.
+        entry = tmp_path / "objects" / key[:2] / f"{key}.json"
+        data = json.loads(entry.read_text(encoding="utf-8"))
+        data["value"]["arrays"]["a0"]["data"] = "eA=="
+        entry.write_text(json.dumps(data), encoding="utf-8")
         hit, _ = cache.get(key)
         assert not hit
+
+    def test_format1_entry_directory_reads_as_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "9a" * 32
+        legacy = tmp_path / "objects" / key[:2] / key
+        legacy.mkdir(parents=True)
+        (legacy / "meta.json").write_text(json.dumps(
+            {"format": 1, "key": key, "encoding": "json"}), encoding="utf-8")
+        (legacy / "result.json").write_text("{}", encoding="utf-8")
+        assert cache.get(key) == (False, None)
+        assert cache.entries() == []
+        assert cache.clear() == 1
+        assert not any(path.is_file()
+                       for path in (tmp_path / "objects").rglob("*"))
+        assert len(cache) == 0
+
+    def test_concurrent_puts_of_one_key(self, tmp_path):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        key = "ee" * 32
+        with ProcessPoolExecutor(
+                max_workers=3,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            for future in [pool.submit(put_repeatedly, tmp_path, key, 25)
+                           for _ in range(3)]:
+                future.result(timeout=120)
+        hit, value = ResultCache(tmp_path).get(key)
+        assert hit
+        np.testing.assert_array_equal(value["values"], np.arange(64.0))
+        assert [path.name for path in (tmp_path / "objects" / "ee").iterdir()] \
+            == [f"{key}.json"]
 
     def test_clear_and_sizes(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -320,8 +369,8 @@ class TestMetaJson:
         cache = ResultCache(tmp_path)
         spec = JobSpec(square, overrides={"x": 2.0}, label="square-2")
         run_jobs([spec], cache=cache)
-        meta_path = (tmp_path / "objects" / spec.key[:2] / spec.key
-                     / "meta.json")
+        meta_path = (tmp_path / "objects" / spec.key[:2]
+                     / f"{spec.key}.json")
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         assert meta["label"] == "square-2"
         assert meta["function"].endswith(":square")

@@ -39,7 +39,7 @@ from repro.runner import (
     run_jobs,
     truncate_journal,
 )
-from repro.runner.journal import decode_value, encode_value
+from repro.runner.cache import decode_value, encode_value
 
 
 # -- module-level job callables (specs require importable functions) --------
@@ -277,6 +277,18 @@ class TestJournalResume:
             json.loads(line)
         assert run_jobs(_jobs(4), journal=journal_path).journal_hits == 4
 
+    def test_replay_leaves_torn_journal_unchanged(self, tmp_path):
+        # A reader (``repro health``) may replay a live campaign's journal
+        # mid-append: only the writer may heal the tail.
+        journal_path = tmp_path / "campaign.jsonl"
+        run_jobs(_jobs(4), journal=journal_path)
+        truncate_journal(journal_path, drop_bytes=7)
+        torn = journal_path.read_bytes()
+        journal = RunJournal(journal_path)
+        assert len(journal.successes()) == 3
+        journal.close()
+        assert journal_path.read_bytes() == torn
+
     def test_resume_after_sigkill_bit_identical(self, tmp_path):
         """A campaign SIGKILLed mid-matrix resumes where it left off."""
         journal_path = tmp_path / "killed.jsonl"
@@ -328,6 +340,15 @@ class TestJournalResume:
             else:
                 assert isinstance(decoded, StabilityError)
 
+    def test_value_codec_keeps_zero_d_and_structured_arrays(self):
+        values = [np.array(3.5),
+                  np.array([(1.0, 2)], dtype=[("a", "f8"), ("b", "i4")])]
+        for value in values:
+            decoded = decode_value(json.loads(json.dumps(encode_value(value))))
+            assert decoded.dtype == value.dtype
+            assert decoded.shape == value.shape
+            assert decoded.tobytes() == value.tobytes()
+
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
     def test_replay_is_order_insensitive(self, seed, tmp_path_factory):
@@ -365,7 +386,8 @@ class TestCacheQuarantine:
         hit, _ = cache.get(jobs[0].key)
         assert not hit
         assert cache.quarantined_count() == 1
-        assert (cache.quarantine_dir / jobs[0].key).is_dir()  # evidence kept
+        # The damaged bytes are kept as evidence.
+        assert (cache.quarantine_dir / f"{jobs[0].key}.json").is_file()
         recomputed = run_jobs(jobs, cache=cache)
         assert recomputed.cache_hits == 1  # the undamaged entry still serves
         assert recomputed.computed == 1
